@@ -17,7 +17,8 @@ import numpy as np
 from . import ghm
 from .ga import GaParams, ga_select
 from .image_io import PEAK
-from .selection import SelectionParams, exhaustive_select, noise_gate
+from .selection import (SelectionParams, exhaustive_select, gram_shortlist,
+                        noise_gate)
 from .windows import GridGeometry, build_grid, extract_windows, origin_of
 
 ENGINES = ("exhaustive", "ga")
@@ -46,8 +47,11 @@ class DenoiseConfig:
                              f"expected one of {ENGINES}")
         if not self.threshold_scale > 0:
             raise ValueError("threshold_scale must be > 0")
-        if self.sigma is not None and self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        if self.sigma is not None and not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and >= 0, "
+                             f"got {self.sigma}")
+        if self.engine == "ga":
+            self.ga_params(math.inf)   # raises here, not mid-run
 
     def ga_params(self, l2_t: float) -> GaParams:
         return GaParams(n_c=self.n_c, n_p=self.n_p, g_max=self.g_max,
@@ -174,6 +178,8 @@ def denoise_image(noisy, cfg: DenoiseConfig, trace=None, threads: int = 1):
     start = time.perf_counter()
     noisy = np.asarray(noisy)
     geom = build_grid(noisy, cfg.m, cfg.s_size)
+    if not np.isfinite(noisy).all():
+        raise ValueError("image has non-finite pixels (NaN or inf)")
     F = ghm.build_ghm_matrix(cfg.m)
     coeffs = ghm.forward_all(extract_windows(noisy, geom), F)
 
@@ -185,8 +191,10 @@ def denoise_image(noisy, cfg: DenoiseConfig, trace=None, threads: int = 1):
     if cfg.engine == "exhaustive":
         params = SelectionParams(n_c=cfg.n_c, l2_t=l2_t,
                                  include_self=cfg.include_self)
+        shortlists = gram_shortlist(coeffs, params)
         def engine(ref_idx):
-            return exhaustive_select(ref_idx, coeffs, params)
+            return exhaustive_select(ref_idx, coeffs, params,
+                                     shortlists[ref_idx])
     else:
         ga_params = cfg.ga_params(l2_t)
         def engine(ref_idx):

@@ -40,7 +40,10 @@ def _offsets(extent: int, m: int, s_size: int):
 
 def build_grid(img, m: int, s_size: int) -> GridGeometry:
     """Lay out the window lattice for `img` (2-D array)."""
-    height, width = np.asarray(img).shape
+    shape = np.shape(img)
+    if len(shape) != 2:
+        raise ValueError(f"expected a 2-D grayscale image, got shape {shape}")
+    height, width = shape
     if m < 4 or m % 4 != 0:
         raise ValueError(f"window size must be a positive multiple of 4, got {m}")
     if m > min(height, width):

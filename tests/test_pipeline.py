@@ -185,6 +185,26 @@ class TestDenoiseImage:
             assert key in block
 
 
+class TestValidation:
+    def test_ga_crossover_checked_at_config(self):
+        with pytest.raises(ValueError, match="crossover points"):
+            DenoiseConfig(engine="ga", n_c=4)
+        DenoiseConfig(engine="exhaustive", n_c=4)
+        DenoiseConfig(engine="ga", n_c=4, c_p1=1, c_p2=3)
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -1.0])
+    def test_bad_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            DenoiseConfig(sigma=sigma)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_pixel_rejected(self, bad):
+        img = add_awgn(ct_phantom(32), 10, 0).astype(np.float64)
+        img[5, 7] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            denoise_image(img, DenoiseConfig(m=8, s_size=4, sigma=10.0))
+
+
 def test_universal_threshold_formula():
     assert universal_threshold(10.0, 8) == \
         pytest.approx(10.0 * np.sqrt(2.0 * np.log(64.0)))

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+import mwdenoise.pipeline as pipeline_mod
+import mwdenoise.selection as selection_mod
 from mwdenoise import ghm
 from mwdenoise.image_io import add_awgn
 from mwdenoise.phantom import ct_phantom
+from mwdenoise.pipeline import DenoiseConfig, denoise_image
 from mwdenoise.selection import (SelectionParams, calibrate_l2t,
-                                 exhaustive_select, l2_distance, noise_gate)
+                                 exhaustive_select, gram_shortlist,
+                                 l2_distance, noise_gate)
 from mwdenoise.windows import build_grid, extract_windows
 
 BIG = 1e12
@@ -104,6 +108,99 @@ class TestExhaustiveSelect:
         coeffs = np.zeros((3, 8, 8))
         res = exhaustive_select(1, coeffs, SelectionParams(n_c=3, l2_t=BIG))
         assert res.indices.tolist() == [0, 1, 2]
+
+
+def window_coeffs(img, m, s_size):
+    geom = build_grid(img, m, s_size)
+    return ghm.forward_all(extract_windows(img, geom), ghm.build_ghm_matrix(m))
+
+
+def tiled_image(seed):
+    # an 8x8 block repeated: windows on the 8-pixel lattice are exact copies
+    block = np.random.default_rng(seed).integers(0, 256, (8, 8))
+    return np.tile(block, (5, 5)).astype(np.uint8)
+
+
+SHORTLIST_CASES = {
+    "m8": (add_awgn(ct_phantom(64), 20, 1), 8, 4),
+    "m16": (add_awgn(ct_phantom(96), 20, 2), 16, 8),
+    "duplicates": (tiled_image(3), 8, 4),
+    "constant": (np.full((32, 32), 77, np.uint8), 8, 4),
+    "float65535": (np.random.default_rng(4).uniform(0, 65535, (40, 40)), 8, 4),
+    # large norms, tiny gaps: Gram cancellation error is near the gaps
+    "near65535": (65000.0 + np.random.default_rng(5).integers(0, 3, (64, 64)),
+                  16, 4),
+}
+
+
+class TestGramShortlist:
+    """Shortlist plus re-rank must reproduce the full scan bit for bit."""
+
+    @staticmethod
+    def assert_exact(coeffs, params):
+        shortlists = gram_shortlist(coeffs, params)
+        assert len(shortlists) == len(coeffs)
+        for ref, cand in enumerate(shortlists):
+            full = exhaustive_select(ref, coeffs, params)
+            fast = exhaustive_select(ref, coeffs, params, cand)
+            assert fast.indices.dtype == full.indices.dtype
+            assert np.array_equal(fast.indices, full.indices)
+            assert fast.distances.tobytes() == full.distances.tobytes()
+            assert fast.evaluations == full.evaluations
+            assert fast.gated == full.gated
+
+    @pytest.mark.parametrize("case", sorted(SHORTLIST_CASES))
+    @pytest.mark.parametrize("gate", [False, True])
+    @pytest.mark.parametrize("include_self", [True, False])
+    def test_matches_full_scan(self, case, gate, include_self):
+        img, m, s_size = SHORTLIST_CASES[case]
+        coeffs = window_coeffs(img, m, s_size)
+        flat = coeffs.reshape(len(coeffs), -1)
+        # the median distance from window 0 gates about half the pairs
+        l2_t = (float(np.median(np.linalg.norm(flat - flat[0], axis=1)))
+                if gate else np.inf)
+        params = SelectionParams(n_c=4, l2_t=max(l2_t, 1e-9),
+                                 include_self=include_self)
+        self.assert_exact(coeffs, params)
+
+    @pytest.mark.parametrize("include_self", [True, False])
+    def test_n_c_at_least_n_w(self, include_self):
+        coeffs = window_coeffs(add_awgn(ct_phantom(32), 20, 6), 8, 8)
+        n_w = len(coeffs)
+        for n_c in (n_w - 1, n_w, n_w + 5):
+            params = SelectionParams(n_c=n_c, include_self=include_self)
+            self.assert_exact(coeffs, params)
+
+    def test_blocks_smaller_than_image(self, monkeypatch):
+        # a few reference rows per Gram block, last block partial
+        monkeypatch.setattr(selection_mod, "GRAM_BLOCK_ENTRIES", 1000)
+        img, m, s_size = SHORTLIST_CASES["duplicates"]
+        coeffs = window_coeffs(img, m, s_size)
+        assert 1000 // len(coeffs) < len(coeffs)
+        for include_self in (True, False):
+            self.assert_exact(coeffs, SelectionParams(
+                n_c=5, include_self=include_self))
+
+    @pytest.mark.parametrize("case", sorted(SHORTLIST_CASES))
+    def test_shortlists_stay_short(self, case):
+        # duplicate and constant images put many windows within the margin
+        img, m, s_size = SHORTLIST_CASES[case]
+        shortlists = gram_shortlist(window_coeffs(img, m, s_size),
+                                    SelectionParams(n_c=4))
+        assert max(len(c) for c in shortlists) <= 8
+
+
+def test_denoise_shortlist_equals_full_scan(monkeypatch):
+    noisy = add_awgn(ct_phantom(128), 20, 8)
+    cfg = DenoiseConfig(m=8, s_size=4, threshold_scale=0.25)
+    out, stats = denoise_image(noisy, cfg)
+    monkeypatch.setattr(pipeline_mod, "gram_shortlist",
+                        lambda coeffs, params:
+                        [np.arange(len(coeffs))] * len(coeffs))
+    ref_out, ref_stats = denoise_image(noisy, cfg)
+    assert out.tobytes() == ref_out.tobytes()
+    assert stats.distance_evals == ref_stats.distance_evals
+    assert stats.sigma == ref_stats.sigma
 
 
 class TestCalibrate:

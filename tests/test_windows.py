@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,11 @@ class TestBuildGrid:
             build_grid(img, 15, 4)
         with pytest.raises(ValueError):
             build_grid(img, 64, 4)
+
+    @pytest.mark.parametrize("shape", [(32, 32, 3), (32,), ()])
+    def test_not_2d_rejected(self, shape):
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            build_grid(np.zeros(shape, np.uint8), 8, 4)
 
     def test_invalid_step(self):
         img = np.zeros((32, 32), np.uint8)
