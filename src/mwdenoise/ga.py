@@ -8,9 +8,22 @@ parent pair by double-point crossover, mutates the children adaptively
 gene at or above it), and folds every gated gene into a persistent
 best-window archive. Rounds of g_max generations repeat until the archive
 is full or the round cap is hit.
+
+The archive is always the n_c best, by (distance, index), of the gated
+windows (distance below l2_t) evaluated so far: every evaluated chromosome,
+before and after mutation, passes through `update_best_set`. So a
+generation that prices no gated window closer than the archive's farthest
+member leaves it as it is, and the merge is skipped.
+
+Each reference window draws from its own stream (`ref_stream`), one scalar
+`integers(0, n_w)` call per gene draw, in a fixed order. Outputs depend on
+that order and on the exact bits of the distances and fitness values;
+`tests/test_ga.py` pins both with digests of `ga_select` results, of the
+generator state after a run of the operators, and of a GA denoise.
 """
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -84,10 +97,12 @@ class DistanceCache:
     def lookup(self, genes: np.ndarray) -> np.ndarray:
         d = self.values[genes]
         miss = np.isnan(d)
-        if miss.any():
-            need = np.unique(genes[miss])
+        if np.count_nonzero(miss):
+            need = genes[miss]
+            if len(need) > 1:
+                need = np.unique(need)
             self.values[need] = np.sqrt(
-                np.sum((self.flat[need] - self.ref) ** 2, axis=1))
+                np.add.reduce((self.flat[need] - self.ref) ** 2, axis=1))
             self.evaluations += len(need)
             d = self.values[genes]
         return d
@@ -118,25 +133,32 @@ def init_population(cache: DistanceCache, p: GaParams,
         raise ValueError(f"gene length {p.n_c} exceeds window count {n_w}")
     pop = []
     for _ in range(p.n_p):
-        used = set()
-        genes = np.empty(p.n_c, dtype=np.int64)
-        for k in range(p.n_c):
-            genes[k] = _draw_distinct(rng, n_w, used)
-            used.add(int(genes[k]))
+        used = {}   # insertion-ordered: the genes in draw order
+        for _ in range(p.n_c):
+            used[_draw_distinct(rng, n_w, used)] = None
+        genes = np.array(list(used), dtype=np.int64)
         dists = cache.lookup(genes)
-        pop.append(Chromosome(genes, dists, float(dists.mean())))
+        pop.append(Chromosome(genes, dists, _mean(dists)))
     return pop
+
+
+def _mean(dists: np.ndarray) -> float:
+    # the same pairwise sum and division as np.mean, without its overhead
+    return float(np.add.reduce(dists)) / len(dists)
 
 
 def fitness(genes: np.ndarray, cache: DistanceCache) -> float:
     """Mean distance of a gene string to the reference window."""
-    return float(cache.lookup(genes).mean())
+    return _mean(cache.lookup(genes))
+
+
+_by_fitness = attrgetter("fitness")
 
 
 def select_parents(population):
     """The fitter half, ascending by fitness; ties keep population order."""
     half = len(population) // 2
-    return sorted(population, key=lambda c: c.fitness)[:half]
+    return sorted(population, key=_by_fitness)[:half]
 
 
 def crossover(pa: Chromosome, pb: Chromosome, p: GaParams,
@@ -147,14 +169,14 @@ def crossover(pa: Chromosome, pb: Chromosome, p: GaParams,
     fresh uniform draws until all genes are distinct. Parents are left
     unmodified.
     """
-    genes = pa.genes.copy()
-    genes[p.c_p1:p.c_p2 + 1] = pb.genes[p.c_p1:p.c_p2 + 1]
+    genes = pa.genes.tolist()
+    genes[p.c_p1:p.c_p2 + 1] = pb.genes[p.c_p1:p.c_p2 + 1].tolist()
     used = set()
-    for k in range(len(genes)):
-        if int(genes[k]) in used:
-            genes[k] = _draw_distinct(rng, n_w, used)
-        used.add(int(genes[k]))
-    return genes
+    for k, g in enumerate(genes):
+        if g in used:
+            g = genes[k] = _draw_distinct(rng, n_w, used)
+        used.add(g)
+    return np.array(genes, dtype=np.int64)
 
 
 def mutation_mask(dists: np.ndarray, l2_t: float) -> np.ndarray:
@@ -164,11 +186,9 @@ def mutation_mask(dists: np.ndarray, l2_t: float) -> np.ndarray:
     none is, the single farthest gene (smallest index on ties) is.
     """
     over = dists >= l2_t
-    if over.any():
-        return over
-    mask = np.zeros(len(dists), dtype=bool)
-    mask[int(np.argmax(dists))] = True
-    return mask
+    if not np.count_nonzero(over):
+        over[dists.argmax()] = True
+    return over
 
 
 def mutate(genes: np.ndarray, mask: np.ndarray, rng: np.random.Generator,
@@ -179,32 +199,44 @@ def mutate(genes: np.ndarray, mask: np.ndarray, rng: np.random.Generator,
     (including the old value, so a masked gene always changes). When no
     spare values exist the gene is left alone.
     """
-    out = genes.copy()
     if n_w <= len(genes):
-        return out
-    for k in np.flatnonzero(mask):
-        exclude = set(int(v) for v in out)
-        out[k] = _draw_distinct(rng, n_w, exclude)
-    return out
+        return genes.copy()
+    out = genes.tolist()
+    current = set(out)   # kept equal to set(out); genes are distinct
+    for k in mask.nonzero()[0].tolist():
+        new = _draw_distinct(rng, n_w, current)
+        current.discard(out[k])
+        current.add(new)
+        out[k] = new
+    return np.array(out, dtype=np.int64)
 
 
 def update_best_set(best: BestSet, population, l2_t: float,
                     n_c: int) -> BestSet:
     """Fold every gated gene in the population into the archive.
 
-    Keeps the n_c smallest distances over the union of the current archive
-    and all genes with distance strictly below l2_t; a retained member is
-    never replaced by a farther one.
+    Keeps the n_c smallest distances, by (distance, index), over the union
+    of the current archive and all genes with distance strictly below l2_t;
+    a retained member is never replaced by a farther one. `best` is an
+    archive as this function returns it (distinct indices in that order),
+    and a window has one distance wherever it appears. When no gated gene
+    outside the archive can rank among the n_c kept, `best` itself is
+    returned.
     """
-    idx = [best.indices]
-    dst = [best.dists]
-    for chrom in population:
-        passed = chrom.dists < l2_t
-        if passed.any():
-            idx.append(chrom.genes[passed])
-            dst.append(chrom.dists[passed])
-    indices = np.concatenate(idx)
-    dists = np.concatenate(dst)
+    if population:
+        dists = np.concatenate([c.dists for c in population])
+        near = dists < l2_t
+        if len(best) == n_c:
+            # a full archive admits nothing beyond its farthest member
+            near &= dists <= best.dists[-1]
+        fresh = np.concatenate([c.genes for c in population])[near]
+        dists = dists[near]
+    else:
+        fresh, dists = best.indices[:0], best.dists[:0]
+    if len(best) <= n_c and set(fresh.tolist()) <= set(best.indices.tolist()):
+        return best
+    indices = np.concatenate([best.indices, fresh])
+    dists = np.concatenate([best.dists, dists])
     indices, first = np.unique(indices, return_index=True)
     dists = dists[first]
     order = rank_ascending(indices, dists)[:n_c]
@@ -224,6 +256,7 @@ def ga_select(ref_idx: int, coeffs: np.ndarray, p: GaParams,
     """
     cache = DistanceCache(coeffs, ref_idx)
     rng = ref_stream(p.seed, ref_idx)
+    n_w = cache.n_w
     pop = init_population(cache, p, rng)
     best = update_best_set(BestSet(ref_idx), pop, p.l2_t, p.n_c)
     generation = 0
@@ -236,15 +269,13 @@ def ga_select(ref_idx: int, coeffs: np.ndarray, p: GaParams,
             premutation = []
             for j in range(half):
                 genes = crossover(parents[j], parents[(j + 1) % half],
-                                  p, rng, cache.n_w)
+                                  p, rng, n_w)
                 dists = cache.lookup(genes)
-                premutation.append(Chromosome(genes, dists,
-                                              float(dists.mean())))
+                premutation.append(Chromosome(genes, dists, _mean(dists)))
                 mask = mutation_mask(dists, p.l2_t)
-                genes = mutate(genes, mask, rng, cache.n_w)
+                genes = mutate(genes, mask, rng, n_w)
                 dists = cache.lookup(genes)
-                children.append(Chromosome(genes, dists,
-                                           float(dists.mean())))
+                children.append(Chromosome(genes, dists, _mean(dists)))
             pop = parents + children
             # pre-mutation children count as evaluated candidates so the
             # archive never loses a window the search has already priced

@@ -131,8 +131,8 @@ def add_awgn(img, sigma: float, seed: int = 0) -> np.ndarray:
     identical (img, sigma, seed) always yields identical output.
     """
     a = _as_image(img)
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     rng = np.random.default_rng(seed)
     noisy = a.astype(np.float64) + rng.normal(0.0, sigma, size=a.shape)
     return np.clip(np.rint(noisy), 0, PEAK).astype(np.uint8)

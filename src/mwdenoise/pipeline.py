@@ -171,15 +171,24 @@ def aggregate(patches, geom: GridGeometry, shape) -> np.ndarray:
 def denoise_image(noisy, cfg: DenoiseConfig, trace=None, threads: int = 1):
     """Denoise a grayscale image; returns (image, RunStats).
 
-    Per-window work is independent; with threads > 1 it runs on a thread
-    pool and results are merged in window order, so the output does not
-    depend on scheduling.
+    Raises ValueError before any work when n_c exceeds the window count or
+    a pixel is non-finite or outside [0, 255]. Per-window work is
+    independent; with threads > 1 it runs on a thread pool and results are
+    merged in window order, so the output does not depend on scheduling.
     """
     start = time.perf_counter()
     noisy = np.asarray(noisy)
     geom = build_grid(noisy, cfg.m, cfg.s_size)
+    if cfg.n_c > geom.n_w:
+        raise ValueError(f"n_c={cfg.n_c} exceeds the n_w={geom.n_w} windows "
+                         f"of a {noisy.shape[0]}x{noisy.shape[1]} image")
     if not np.isfinite(noisy).all():
         raise ValueError("image has non-finite pixels (NaN or inf)")
+    if noisy.dtype != np.uint8:
+        lo, hi = noisy.min(), noisy.max()
+        if lo < 0 or hi > PEAK:
+            raise ValueError(f"pixel values span [{lo}, {hi}], outside the "
+                             f"8-bit range [0, {PEAK}]")
     F = ghm.build_ghm_matrix(cfg.m)
     coeffs = ghm.forward_all(extract_windows(noisy, geom), F)
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,9 @@ from mwdenoise.ga import (BestSet, Chromosome, DistanceCache, GaParams,
                           update_best_set)
 from mwdenoise.image_io import add_awgn
 from mwdenoise.phantom import ct_phantom
-from mwdenoise.selection import SelectionParams, exhaustive_select
+from mwdenoise.pipeline import DenoiseConfig, denoise_image
+from mwdenoise.selection import (SelectionParams, exhaustive_select,
+                                 noise_gate)
 from mwdenoise.windows import build_grid, extract_windows
 
 BIG = 1e12
@@ -348,3 +352,105 @@ class TestGaSelect:
                   trace=lambda gen, fit, size: records.append((gen, fit, size)))
         assert records and records[0][0] == 1
         assert all(size <= 4 for _, _, size in records)
+
+
+def _sha(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(np.ascontiguousarray(part).tobytes())
+        else:
+            h.update(repr(part).encode())
+    return h.hexdigest()
+
+
+GATE15 = noise_gate(15.0, 8)
+
+# (name, ref, window count or None for all, GaParams kwargs, sha256 of the
+# result). The digests were recorded before the GA hot path was rewritten
+# for speed, which had to keep them; a change to the random stream, the
+# fitness bits or the archive merge shows up here.
+GOLDEN_SELECT = [
+    ("short-genes-s11", 3, None,
+     dict(n_c=4, c_p1=1, c_p2=2, l2_t=BIG, seed=11),
+     "c9691745480fde029acad84f4e25e54c9326d847d5e82e2be8a77c7412dedb53"),
+    ("short-genes-s2", 120, None,
+     dict(n_c=4, c_p1=1, c_p2=2, l2_t=BIG, seed=2),
+     "1d715aa5396d292f8ff3905c07674ed2094adb2af34070db9f8bcb318e746de9"),
+    ("noise-gate-ref0", 0, None, dict(l2_t=GATE15, seed=0),
+     "f3217e703f38ca41f6f5fd3c5ed0a83e63b9dd942bce96d449e05c263927a5da"),
+    ("noise-gate-ref112", 112, None, dict(l2_t=GATE15, seed=5),
+     "4d6e9d91c335c04a0b4ac81d01d227ed8a82532e78eb35f0e471eb9838219e66"),
+    ("noise-gate-ref224", 224, None, dict(l2_t=GATE15, seed=9),
+     "f2ee907c35efc5f9eea2b82d638814d969ca2a5c6d6b6aeafaf2f9319667de5b"),
+    ("fallback", 0, None,
+     dict(n_c=4, c_p1=1, c_p2=2, l2_t=1e-9, max_rounds=1, g_max=5, seed=0),
+     "4830692c121ff652bcdb6fcceb037979328690fa537f30c1099541f1ccfda64a"),
+    ("fallback-partial", 14, None,
+     dict(l2_t=0.8 * GATE15, max_rounds=1, g_max=5, seed=1),
+     "84892aa91f60a49cce2e20408beabe2aa775e3d77ca2ee013eb6b68b3f30832a"),
+    ("wide-gate", 77, None, dict(l2_t=3.0 * GATE15, seed=7),
+     "79c347d237801ee65a2e8feb95beb85593524a628481c55887cf51144b029c0a"),
+    ("saturated", 5, 24, dict(n_c=8, c_p1=2, c_p2=5, l2_t=BIG, seed=3),
+     "f527c2903cb895bd065b9a547f7e0fe8d5be076b5fc8960cbd71fde41ce33399"),
+    ("all-windows", 2, 6, dict(n_c=6, c_p1=1, c_p2=3, l2_t=BIG, seed=4),
+     "a4c228350e7e65b16fa8b986ae55eb296456c74e66d0b7776b4a5a344f6813e6"),
+]
+
+
+def select_digest(ref, n_w, kwargs, coeffs):
+    stack = coeffs if n_w is None else coeffs[:n_w]
+    res = ga_select(ref, stack, GaParams(**kwargs))
+    return res, _sha(res.indices.astype(np.int64),
+                     res.distances.astype(np.float64),
+                     res.evaluations, res.gated)
+
+
+def operator_stream():
+    """Child genes and final generator state of a fixed sequence of
+    crossover and mutate calls over a small window count, where repairs
+    and redraws collide often."""
+    rng = ref_stream(21, 4)
+    n_w = 40
+    start = np.random.default_rng(0)
+    pa = make_chrom(start.permutation(n_w)[:16], np.zeros(16))
+    pb = make_chrom(start.permutation(n_w)[:16], np.zeros(16))
+    children = []
+    for i in range(60):
+        child = crossover(pa, pb, GaParams(l2_t=BIG), rng, n_w)
+        mask = (np.arange(16) + i) % (1 + i % 4) == 0
+        child = mutate(child, mask, rng, n_w)
+        children.append(child)
+        pa, pb = pb, make_chrom(child, np.zeros(16))
+    return np.concatenate(children), rng.bit_generator.state["state"]
+
+
+GOLDEN_OPERATORS = (
+    "c85f1fa6076392430adec8e5ff77e333ce46a51c3533b05872481bba32388b05",
+    96299510673201268029424270367721662457)
+GOLDEN_DENOISE = (
+    "97eded68ebcd6d9c6efcf0a3fe537d9b7df9d182a01dc674c2f477b4a9ac5020",
+    50477)
+
+
+class TestGoldenStream:
+    @pytest.mark.parametrize("name,ref,n_w,kwargs,digest", GOLDEN_SELECT,
+                             ids=[c[0] for c in GOLDEN_SELECT])
+    def test_select_digest(self, coeffs, name, ref, n_w, kwargs, digest):
+        res, got = select_digest(ref, n_w, kwargs, coeffs)
+        if name.startswith("fallback"):
+            assert res.fallback_used
+        if n_w is not None:
+            assert res.evaluations == n_w
+        assert got == digest
+
+    def test_operator_stream(self):
+        children, state = operator_stream()
+        assert (_sha(children), state["state"]) == GOLDEN_OPERATORS
+
+    def test_denoise_digest(self):
+        noisy = add_awgn(ct_phantom(64), 15, 0)
+        cfg = DenoiseConfig(m=8, s_size=4, engine="ga", sigma=15.0,
+                            threshold_scale=0.25, seed=2)
+        out, stats = denoise_image(noisy, cfg)
+        assert (_sha(out), stats.distance_evals) == GOLDEN_DENOISE

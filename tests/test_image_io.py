@@ -106,6 +106,12 @@ class TestAddAwgn:
         with pytest.raises(ValueError):
             add_awgn(np.zeros((4, 4), np.uint8), -1.0, 0)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_sigma_rejected(self, sigma):
+        # nan used to slip past the sign check and return an all-zero image
+        with pytest.raises(ValueError, match="finite"):
+            add_awgn(np.full((4, 4), 128, np.uint8), sigma, 0)
+
 
 class TestPsnr:
     def test_identical_is_inf(self):

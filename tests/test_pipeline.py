@@ -204,6 +204,37 @@ class TestValidation:
         with pytest.raises(ValueError, match="non-finite"):
             denoise_image(img, DenoiseConfig(m=8, s_size=4, sigma=10.0))
 
+    def test_uint16_pixels_rejected(self):
+        # 12-bit CT in a uint16 array would be clipped to 255 on output
+        img = ct_phantom(32).astype(np.uint16) * 16
+        span = rf"\[{img.min()}, {img.max()}\].*\[0, 255\]"
+        assert img.max() > 255
+        with pytest.raises(ValueError, match=span):
+            denoise_image(img, DenoiseConfig(m=8, s_size=4, sigma=10.0))
+
+    def test_negative_pixels_rejected(self):
+        img = ct_phantom(32).astype(np.float64)
+        img[3, 4] = -2.5
+        with pytest.raises(ValueError, match=r"\[-2.5, "):
+            denoise_image(img, DenoiseConfig(m=8, s_size=4, sigma=10.0))
+
+    def test_float_pixels_in_range_accepted(self):
+        img = ct_phantom(32).astype(np.float64) * (255.0 / 256.0)
+        out, _ = denoise_image(img, DenoiseConfig(m=8, s_size=4, sigma=10.0))
+        assert out.dtype == np.uint8
+
+    @pytest.mark.parametrize("engine", ["exhaustive", "ga"])
+    def test_n_c_above_window_count_rejected(self, engine):
+        # a 16x16 image on an 8/8 grid has 4 windows
+        img = add_awgn(ct_phantom(16), 10, 0)
+        cfg = DenoiseConfig(m=8, s_size=8, engine=engine, n_c=5, c_p1=1,
+                            c_p2=3, sigma=10.0)
+        with pytest.raises(ValueError, match="n_c=5.*n_w=4"):
+            denoise_image(img, cfg)
+        out, _ = denoise_image(img, DenoiseConfig(
+            m=8, s_size=8, engine=engine, n_c=4, c_p1=1, c_p2=2, sigma=10.0))
+        assert out.shape == img.shape
+
 
 def test_universal_threshold_formula():
     assert universal_threshold(10.0, 8) == \
