@@ -10,11 +10,12 @@ contributions are averaged uniformly.
 
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import ghm
+from . import ga, ghm
 from .ga import GaParams, ga_select
 from .image_io import PEAK
 from .selection import (SelectionParams, exhaustive_select, gram_shortlist,
@@ -50,6 +51,10 @@ class DenoiseConfig:
         if self.sigma is not None and not 0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be finite and >= 0, "
                              f"got {self.sigma}")
+        if self.n_c < 1:
+            raise ValueError(f"n_c must be >= 1, got {self.n_c}")
+        if self.l2_t is not None and not self.l2_t > 0:
+            raise ValueError(f"l2_t must be > 0, got {self.l2_t}")
         if self.engine == "ga":
             self.ga_params(math.inf)   # raises here, not mid-run
 
@@ -171,12 +176,16 @@ def aggregate(patches, geom: GridGeometry, shape) -> np.ndarray:
 def denoise_image(noisy, cfg: DenoiseConfig, trace=None, threads: int = 1):
     """Denoise a grayscale image; returns (image, RunStats).
 
-    Raises ValueError before any work when n_c exceeds the window count or
-    a pixel is non-finite or outside [0, 255]. Per-window work is
-    independent; with threads > 1 it runs on a thread pool and results are
+    Raises ValueError before any work when threads < 1, n_c exceeds the
+    window count or a pixel is non-finite or outside [0, 255]. Per-window
+    work is independent; with threads > 1 it runs on a thread pool (the GA
+    searches its blocks of reference windows there too) and results are
     merged in window order, so the output does not depend on scheduling.
+    GA trace records come in window order, then generation order.
     """
     start = time.perf_counter()
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     noisy = np.asarray(noisy)
     geom = build_grid(noisy, cfg.m, cfg.s_size)
     if cfg.n_c > geom.n_w:
@@ -205,9 +214,8 @@ def denoise_image(noisy, cfg: DenoiseConfig, trace=None, threads: int = 1):
             return exhaustive_select(ref_idx, coeffs, params,
                                      shortlists[ref_idx])
     else:
-        ga_params = cfg.ga_params(l2_t)
-        def engine(ref_idx):
-            return ga_select(ref_idx, coeffs, ga_params, trace=trace)
+        engine = _ga_closest_sets(coeffs, cfg.ga_params(l2_t), trace,
+                                  threads).__getitem__
 
     def work(ref_idx):
         closest = engine(ref_idx)
@@ -218,12 +226,8 @@ def denoise_image(noisy, cfg: DenoiseConfig, trace=None, threads: int = 1):
         patch = denoise_window(coeffs[ref_idx], coeffs[members], t, F)
         return patch, closest.evaluations
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, range(geom.n_w)))
-    else:
-        results = [work(i) for i in range(geom.n_w)]
+    with _mapper(threads) as run:
+        results = list(run(work, range(geom.n_w)))
 
     acc = Accumulator(noisy.shape)
     total_evals = 0
@@ -238,3 +242,33 @@ def denoise_image(noisy, cfg: DenoiseConfig, trace=None, threads: int = 1):
                      n_c=cfg.n_c, sigma=sigma, distance_evals=total_evals,
                      wall_ms=wall_ms, seed=cfg.seed)
     return out, stats
+
+
+@contextmanager
+def _mapper(threads: int):
+    """`map`, or the map of a pool of `threads` threads."""
+    if threads == 1:
+        yield map
+        return
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        yield pool.map
+
+
+def _ga_closest_sets(coeffs, p: GaParams, trace, threads: int) -> list:
+    """Every window's GA closest set, in window order.
+
+    The reference windows are searched in blocks, `threads` blocks at a
+    time. Each window's closest set then comes from `ga_select`, which
+    replays its trace records, window by window.
+    """
+    def search(refs):
+        return ga.search_block(coeffs, refs, p, record=trace is not None)
+    blocks = ga.ref_blocks(len(coeffs), threads)
+    closest = []
+    with _mapper(threads) as run:
+        for lo in range(0, len(blocks), threads):
+            for block in run(search, blocks[lo:lo + threads]):
+                closest += [ga_select(s.ref_idx, coeffs, p, trace, search=s)
+                            for s in block]
+    return closest

@@ -87,6 +87,29 @@ class TestDenoise:
         assert code == EXIT_VALIDATION
         capsys.readouterr()
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one(self, noisy_pgm, tmp_path, capsys, threads):
+        out = tmp_path / "out.pgm"
+        code = main(["denoise", str(noisy_pgm), str(out), "--window", "8",
+                     "--step", "4", "--sigma", "15", "--threads", threads])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"threads must be >= 1, got {threads}" in err
+        assert not out.exists()
+
+    def test_ga_trace_same_with_threads(self, tmp_path, capsys):
+        src = tmp_path / "in.pgm"
+        save_pgm(add_awgn(ct_phantom(48), 15, 0), src)
+        streams = []
+        for tag in ("a", "b"):
+            assert main(["denoise", str(src), str(tmp_path / f"{tag}.pgm"),
+                         "--method", "ga", "--window", "8", "--step", "4",
+                         "--sigma", "15", "--trace", "--threads", "2"]) \
+                == EXIT_OK
+            streams.append(capsys.readouterr().err)
+        assert streams[0] == streams[1]
+        assert streams[0].startswith("gen=1 ")
+
     def test_dump_transform(self, noisy_pgm, tmp_path, capsys):
         dump = tmp_path / "F.csv"
         code = main(["denoise", str(noisy_pgm), str(tmp_path / "d.pgm"),

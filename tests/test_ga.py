@@ -6,8 +6,9 @@ import pytest
 import mwdenoise.ga as ga_mod
 from mwdenoise import ghm
 from mwdenoise.ga import (BestSet, Chromosome, DistanceCache, GaParams,
-                          crossover, fitness, ga_select, init_population,
-                          mutate, mutation_mask, ref_stream, select_parents,
+                          RowDraws, crossover, fitness, ga_select,
+                          init_population, mutate, mutation_mask, ref_blocks,
+                          ref_stream, search_block, select_parents,
                           update_best_set)
 from mwdenoise.image_io import add_awgn
 from mwdenoise.phantom import ct_phantom
@@ -452,5 +453,139 @@ class TestGoldenStream:
         noisy = add_awgn(ct_phantom(64), 15, 0)
         cfg = DenoiseConfig(m=8, s_size=4, engine="ga", sigma=15.0,
                             threshold_scale=0.25, seed=2)
+        out, stats = denoise_image(noisy, cfg)
+        assert (_sha(out), stats.distance_evals) == GOLDEN_DENOISE
+
+
+def _same_select(a, b):
+    assert a.indices.dtype == b.indices.dtype == np.int64
+    assert a.indices.tobytes() == b.indices.tobytes()
+    assert a.distances.tobytes() == b.distances.tobytes()
+    assert (a.evaluations, a.gated) == (b.evaluations, b.gated)
+
+
+class TestRowBatched:
+    """The row-batched operators against their one-row case, row by row:
+    each row draws from its own stream, as a lone run would."""
+
+    N_W = 60
+
+    def strings(self, rows, seed=0):
+        rng = np.random.default_rng(seed)
+        return np.stack([rng.permutation(self.N_W)[:16] for _ in range(rows)])
+
+    def test_mutate_rows(self):
+        rng = np.random.default_rng(1)
+        genes = self.strings(30)
+        mask = rng.uniform(size=genes.shape) < 0.4
+        draws = RowDraws([ref_stream(3, r) for r in range(30)], self.N_W)
+        batched = mutate(genes, mask, draws, self.N_W)
+        for r in range(30):
+            alone = ref_stream(3, r)
+            assert np.array_equal(batched[r],
+                                  mutate(genes[r], mask[r], alone, self.N_W))
+            assert (draws.gens[r].bit_generator.state
+                    == alone.bit_generator.state)
+
+    def test_mutate_strings_in_turn(self):
+        # several strings of one row draw one after another
+        rng = np.random.default_rng(2)
+        genes = self.strings(15).reshape(3, 5, 16)
+        mask = rng.uniform(size=genes.shape) < 0.5
+        draws = RowDraws([ref_stream(4, r) for r in range(3)], self.N_W)
+        batched = mutate(genes, mask, draws, self.N_W)
+        for r in range(3):
+            alone = ref_stream(4, r)
+            for s in range(5):
+                assert np.array_equal(
+                    batched[r, s],
+                    mutate(genes[r, s], mask[r, s], alone, self.N_W))
+
+    def test_crossover_rows(self):
+        p = GaParams(l2_t=BIG)
+        pa, pb = self.strings(40, 5), self.strings(40, 6)
+        draws = RowDraws([ref_stream(7, r) for r in range(40)], self.N_W)
+        batched = crossover(pa, pb, p, draws, self.N_W)
+        for r in range(40):
+            alone = ref_stream(7, r)
+            assert np.array_equal(batched[r],
+                                  crossover(pa[r], pb[r], p, alone, self.N_W))
+            assert (draws.gens[r].bit_generator.state
+                    == alone.bit_generator.state)
+
+    def test_mask_and_parents_rows(self):
+        rng = np.random.default_rng(8)
+        dists = rng.uniform(0, 10, (50, 16))
+        mask = mutation_mask(dists, 8.0)
+        for r in range(50):
+            assert np.array_equal(mask[r], mutation_mask(dists[r], 8.0))
+        fits = rng.integers(0, 4, (50, 10)).astype(float)   # many ties
+        order = select_parents(fits)
+        for r in range(50):
+            pop = [make_chrom([i, i + 100], [f, f])
+                   for i, f in enumerate(fits[r])]
+            assert [c.genes[0] for c in select_parents(pop)] == \
+                order[r].tolist()
+
+    def test_lookup_rows(self, coeffs):
+        refs = [0, 17, 140]
+        block = DistanceCache(coeffs, refs)
+        genes = self.strings(3) * 3
+        d = block.lookup(genes, np.arange(3))
+        for r, ref in enumerate(refs):
+            alone = DistanceCache(coeffs, ref)
+            assert d[r].tobytes() == alone.lookup(genes[r]).tobytes()
+            assert block.evaluations[r] == alone.evaluations[0]
+
+
+class TestBlockSearch:
+    @pytest.mark.parametrize("name,ref,n_w,kwargs,digest", GOLDEN_SELECT,
+                             ids=[c[0] for c in GOLDEN_SELECT])
+    def test_block_equals_standalone(self, coeffs, name, ref, n_w, kwargs,
+                                     digest):
+        # every reference of the stack, searched in one block and then
+        # finished, against its own standalone run
+        stack = coeffs if n_w is None else coeffs[:n_w]
+        p = GaParams(**kwargs)
+        searches = search_block(stack, np.arange(len(stack)), p)
+        assert [s.ref_idx for s in searches] == list(range(len(stack)))
+        for s in searches:
+            _same_select(ga_select(s.ref_idx, stack, p, search=s),
+                         ga_select(s.ref_idx, stack, p))
+
+    def test_trace_replayed_per_reference(self, coeffs):
+        p = GaParams(l2_t=GATE15, seed=3)
+        searches = search_block(coeffs, [4, 90, 200], p, record=True)
+        for s in searches:
+            replayed, alone = [], []
+            ga_select(s.ref_idx, coeffs, p, search=s,
+                      trace=lambda *rec: replayed.append(rec))
+            ga_select(s.ref_idx, coeffs, p,
+                      trace=lambda *rec: alone.append(rec))
+            assert replayed == alone
+            assert [r[0] for r in replayed] == \
+                list(range(1, len(replayed) + 1))
+
+    def test_search_of_another_reference_rejected(self, coeffs):
+        p = GaParams(n_c=4, c_p1=1, c_p2=2, l2_t=BIG, seed=0)
+        s = search_block(coeffs, [3], p)[0]
+        with pytest.raises(ValueError, match="reference 3"):
+            ga_select(4, coeffs, p, search=s)
+
+    def test_blocks_cover_in_order(self, monkeypatch):
+        monkeypatch.setattr(ga_mod, "GA_BLOCK_ENTRIES", 225 * 60)
+        blocks = ref_blocks(225)
+        assert len(blocks) == 4 and len({len(b) for b in blocks}) > 1
+        assert np.array_equal(np.concatenate(blocks), np.arange(225))
+        assert len(ref_blocks(225, min_blocks=7)) == 7
+        assert len(ref_blocks(3, min_blocks=7)) == 3
+
+    def test_denoise_independent_of_block_size(self, monkeypatch):
+        noisy = add_awgn(ct_phantom(64), 15, 0)
+        cfg = DenoiseConfig(m=8, s_size=4, engine="ga", sigma=15.0,
+                            threshold_scale=0.25, seed=2)
+        monkeypatch.setattr(ga_mod, "GA_BLOCK_ENTRIES", 225 * 60)
+        sizes = [len(b) for b in ref_blocks(225)]
+        assert len(sizes) >= 3 and len(set(sizes)) > 1
         out, stats = denoise_image(noisy, cfg)
         assert (_sha(out), stats.distance_evals) == GOLDEN_DENOISE

@@ -169,6 +169,21 @@ class TestDenoiseImage:
         assert np.array_equal(serial, threaded)
         assert s1.distance_evals == s2.distance_evals
 
+    def test_ga_trace_independent_of_threads(self):
+        # records come in window order, then generation order
+        noisy = add_awgn(ct_phantom(48), 15, 3)
+        cfg = DenoiseConfig(m=8, s_size=4, engine="ga", sigma=15.0,
+                            threshold_scale=0.25, seed=1)
+        traces = []
+        for threads in (1, 3):
+            records = []
+            denoise_image(noisy, cfg, threads=threads,
+                          trace=lambda *rec: records.append(rec))
+            traces.append(records)
+        assert traces[0] == traces[1]
+        assert traces[0][0][0] == 1
+        assert len(traces[0]) > build_grid(noisy, 8, 4).n_w
+
     def test_sigma_estimated_when_unknown(self):
         noisy = add_awgn(ct_phantom(64), 20, 4)
         cfg = DenoiseConfig(m=8, s_size=4, threshold_scale=0.25)
@@ -222,6 +237,31 @@ class TestValidation:
         img = ct_phantom(32).astype(np.float64) * (255.0 / 256.0)
         out, _ = denoise_image(img, DenoiseConfig(m=8, s_size=4, sigma=10.0))
         assert out.dtype == np.uint8
+
+    @pytest.mark.parametrize("engine", ["exhaustive", "ga"])
+    @pytest.mark.parametrize("n_c", [0, -2])
+    def test_n_c_below_one_rejected_at_config(self, engine, n_c):
+        with pytest.raises(ValueError, match=f"n_c must be >= 1, got {n_c}"):
+            DenoiseConfig(engine=engine, n_c=n_c)
+
+    @pytest.mark.parametrize("engine", ["exhaustive", "ga"])
+    @pytest.mark.parametrize("l2_t", [0.0, -1.0, float("nan")])
+    def test_bad_gate_rejected_at_config(self, engine, l2_t):
+        with pytest.raises(ValueError, match="l2_t must be > 0"):
+            DenoiseConfig(engine=engine, l2_t=l2_t)
+
+    def test_given_gate_accepted(self):
+        for engine in ("exhaustive", "ga"):
+            assert DenoiseConfig(engine=engine, l2_t=5.0).l2_t == 5.0
+            assert DenoiseConfig(engine=engine, l2_t=float("inf")).l2_t > 0
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, threads):
+        img = add_awgn(ct_phantom(32), 10, 0)
+        with pytest.raises(ValueError, match=f"threads must be >= 1, "
+                                             f"got {threads}"):
+            denoise_image(img, DenoiseConfig(m=8, s_size=4, sigma=10.0),
+                          threads=threads)
 
     @pytest.mark.parametrize("engine", ["exhaustive", "ga"])
     def test_n_c_above_window_count_rejected(self, engine):
