@@ -8,7 +8,7 @@ opt-in because it breaks byte-identical reruns.
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,30 +23,31 @@ CSV_COLUMNS = ("image", "sigma", "engine", "seed",
 
 @dataclass
 class BenchPlan:
+    """A sweep over images, noise levels, engines and seeds. `cfg` is the
+    denoiser template: each cell replaces its engine, sigma and seed."""
     images: tuple = ("phantom:128",)
     sigmas: tuple = (10.0, 20.0, 30.0, 40.0, 50.0)
     engines: tuple = BENCH_ENGINES
     seeds: tuple = (0, 1, 2)
-    # denoiser settings; the defaults suit the bundled 128x128 phantom
-    m: int = 8
-    s_size: int = 4
-    n_c: int = 16
-    threshold_scale: float = 0.25
-    l2_t: float | None = None
-    n_p: int = 10
-    g_max: int = 100
-    c_p1: int = 5
-    c_p2: int = 12
-    max_rounds: int = 5
+    # the default template suits the bundled 128x128 phantom
+    cfg: DenoiseConfig = field(default_factory=lambda: DenoiseConfig(
+        m=8, s_size=4, threshold_scale=0.25))
     timing: bool = False
 
     def __post_init__(self):
-        if not self.sigmas or any(s < 0 for s in self.sigmas):
-            raise ValueError("sigmas must be non-empty and all >= 0")
+        if not self.sigmas or not all(0 <= s < math.inf
+                                      for s in self.sigmas):
+            raise ValueError(f"sigmas must be non-empty, finite and >= 0, "
+                             f"got {self.sigmas}")
         for e in self.engines:
             if e not in BENCH_ENGINES:
                 raise ValueError(f"unknown engine {e!r}; "
                                  f"expected subset of {BENCH_ENGINES}")
+            if e != "noisy-only":
+                self.cell_config(e, 0.0, 0)   # raises here, not mid-sweep
+
+    def cell_config(self, engine: str, sigma: float, seed: int):
+        return replace(self.cfg, engine=engine, sigma=sigma, seed=seed)
 
 
 @dataclass
@@ -89,13 +90,8 @@ def run_bench(plan: BenchPlan):
                                              p_noisy, None, 0,
                                              0.0 if plan.timing else None))
                         continue
-                    cfg = DenoiseConfig(
-                        m=plan.m, s_size=plan.s_size, engine=engine,
-                        n_c=plan.n_c, l2_t=plan.l2_t, sigma=sigma,
-                        threshold_scale=plan.threshold_scale, seed=seed,
-                        n_p=plan.n_p, g_max=plan.g_max, c_p1=plan.c_p1,
-                        c_p2=plan.c_p2, max_rounds=plan.max_rounds)
-                    denoised, stats = denoise_image(noisy, cfg)
+                    denoised, stats = denoise_image(
+                        noisy, plan.cell_config(engine, sigma, seed))
                     rows.append(BenchRow(
                         spec, sigma, engine, seed, p_noisy,
                         psnr(clean, denoised), stats.distance_evals,

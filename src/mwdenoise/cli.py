@@ -8,12 +8,12 @@ stdout, diagnostics to stderr.
 import argparse
 import math
 import sys
-
+from dataclasses import fields, replace
 
 from . import ghm
 from .bench import BENCH_ENGINES, BenchPlan, emit_csv, render_table, run_bench
 from .image_io import PgmError, add_awgn, load_pgm, psnr, save_pgm
-from .pipeline import DenoiseConfig, denoise_image, estimate_sigma
+from .pipeline import ENGINES, DenoiseConfig, denoise_image, sigma_from_coeffs
 from .selection import calibrate_l2t
 from .windows import build_grid, extract_windows
 
@@ -23,27 +23,45 @@ EXIT_IO = 3
 EXIT_VALIDATION = 4
 
 
-def _geometry_args(sub, m_default=16, s_default=8):
-    sub.add_argument("--window", type=int, default=m_default, metavar="M",
-                     help=f"window side length, multiple of 4 "
-                          f"(default {m_default})")
-    sub.add_argument("--step", type=int, default=s_default, metavar="S",
-                     help=f"window step size (default {s_default})")
+def _geometry_args(sub, cfg: DenoiseConfig):
+    sub.add_argument("--window", dest="m", type=int, default=cfg.m,
+                     metavar="M", help="window side length, multiple of 4 "
+                                       "(default %(default)s)")
+    sub.add_argument("--step", dest="s_size", type=int, default=cfg.s_size,
+                     metavar="S", help="window step size "
+                                       "(default %(default)s)")
 
 
-def _ga_args(sub):
-    sub.add_argument("--nc", type=int, default=16,
-                     help="windows kept per reference (default 16)")
-    sub.add_argument("--pop", type=int, default=10,
-                     help="GA population size (default 10)")
-    sub.add_argument("--gmax", type=int, default=100,
-                     help="GA generations per round (default 100)")
-    sub.add_argument("--cp1", type=int, default=5,
-                     help="first crossover point (default 5)")
-    sub.add_argument("--cp2", type=int, default=12,
-                     help="second crossover point (default 12)")
-    sub.add_argument("--max-rounds", type=int, default=5,
-                     help="GA round cap (default 5)")
+def _config_args(sub, cfg: DenoiseConfig):
+    """The denoiser settings of `denoise` and `bench`, defaulting to those
+    of `cfg`; each option stores to its DenoiseConfig field."""
+    sub = sub.add_argument_group("denoiser settings")
+    _geometry_args(sub, cfg)
+    sub.add_argument("--nc", dest="n_c", type=int, default=cfg.n_c,
+                     help="windows kept per reference (default %(default)s)")
+    sub.add_argument("--pop", dest="n_p", type=int, default=cfg.n_p,
+                     help="GA population size (default %(default)s)")
+    sub.add_argument("--gmax", dest="g_max", type=int, default=cfg.g_max,
+                     help="GA generations per round (default %(default)s)")
+    sub.add_argument("--cp1", dest="c_p1", type=int, default=cfg.c_p1,
+                     help="first crossover point (default %(default)s)")
+    sub.add_argument("--cp2", dest="c_p2", type=int, default=cfg.c_p2,
+                     help="second crossover point (default %(default)s)")
+    sub.add_argument("--max-rounds", type=int, default=cfg.max_rounds,
+                     help="GA round cap (default %(default)s)")
+    sub.add_argument("--l2t", dest="l2_t", type=float, default=cfg.l2_t,
+                     help="distance threshold; noise-adaptive when omitted")
+    sub.add_argument("--threshold-scale", type=float,
+                     default=cfg.threshold_scale,
+                     help="scale on the universal shrinkage threshold "
+                          "(default %(default)s)")
+
+
+def _config(args, template: DenoiseConfig) -> DenoiseConfig:
+    """`template` with every field that `args` holds an option for."""
+    return replace(template, **{f.name: getattr(args, f.name)
+                                for f in fields(template)
+                                if hasattr(args, f.name)})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -61,28 +79,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ascii", action="store_true",
                    help="write P2 instead of P5")
 
+    cfg = DenoiseConfig()
     p = subs.add_parser("denoise", help="denoise a PGM image")
     p.add_argument("input"); p.add_argument("output")
-    p.add_argument("--method", choices=("exhaustive", "ga"),
-                   default="exhaustive",
-                   help="closer-window engine (default exhaustive)")
-    _geometry_args(p)
-    _ga_args(p)
-    p.add_argument("--sigma", type=float, default=None,
+    p.add_argument("--method", dest="engine", choices=ENGINES,
+                   default=cfg.engine,
+                   help="closer-window engine (default %(default)s)")
+    _config_args(p, cfg)
+    p.add_argument("--sigma", type=float, default=cfg.sigma,
                    help="known noise level; estimated when omitted")
-    p.add_argument("--l2t", type=float, default=None,
-                   help="distance threshold; noise-adaptive when omitted")
-    p.add_argument("--threshold-scale", type=float, default=1.0,
-                   help="scale on the universal shrinkage threshold "
-                        "(default 1.0)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="GA master seed (default 0)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker thread cap (default 1)")
+    p.add_argument("--seed", type=int, default=cfg.seed,
+                   help="GA master seed (default %(default)s)")
     p.add_argument("--trace", action="store_true",
                    help="stream GA trace records to stderr")
-    p.add_argument("--dump-transform", metavar="CSV", default=None,
-                   help="debug: dump the transform matrix as CSV")
     p.add_argument("--ascii", action="store_true",
                    help="write P2 instead of P5")
 
@@ -92,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("calibrate",
                         help="empirical distance-threshold calibration")
     p.add_argument("input")
-    _geometry_args(p)
+    _geometry_args(p, cfg)
     p.add_argument("--quantile", type=float, default=0.05,
                    help="distance quantile to return (default 0.05)")
     p.add_argument("--pairs", type=int, default=1000,
@@ -100,23 +109,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="sampling seed (default 0)")
 
+    plan = BenchPlan()
     p = subs.add_parser("bench", help="sigma sweep over both engines")
-    p.add_argument("--images", nargs="+", default=["phantom:128"],
-                   help="PGM paths or phantom:N (default phantom:128)")
+    p.add_argument("--images", nargs="+", default=list(plan.images),
+                   help=f"PGM paths or phantom:N "
+                        f"(default {' '.join(plan.images)})")
     p.add_argument("--sigmas", type=float, nargs="+",
-                   default=[10.0, 20.0, 30.0, 40.0, 50.0],
-                   help="noise levels (default 10 20 30 40 50)")
-    p.add_argument("--engines", nargs="+", default=list(BENCH_ENGINES),
+                   default=list(plan.sigmas),
+                   help=f"noise levels (default "
+                        f"{' '.join(f'{s:g}' for s in plan.sigmas)})")
+    p.add_argument("--engines", nargs="+", default=list(plan.engines),
                    choices=BENCH_ENGINES,
                    help="engines to run (default all)")
-    p.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2],
-                   help="per-cell seeds (default 0 1 2)")
-    _geometry_args(p, m_default=8, s_default=4)
-    _ga_args(p)
-    p.add_argument("--l2t", type=float, default=None,
-                   help="distance threshold; noise-adaptive when omitted")
-    p.add_argument("--threshold-scale", type=float, default=0.25,
-                   help="shrinkage threshold scale (default 0.25)")
+    p.add_argument("--seeds", type=int, nargs="+", default=list(plan.seeds),
+                   help=f"per-cell seeds "
+                        f"(default {' '.join(map(str, plan.seeds))})")
+    _config_args(p, plan.cfg)
     p.add_argument("--out", default=None, metavar="CSV",
                    help="write the report as CSV")
     p.add_argument("--timing", action="store_true",
@@ -137,22 +145,14 @@ def _cmd_add_noise(args) -> int:
 
 
 def _cmd_denoise(args) -> int:
-    cfg = DenoiseConfig(
-        m=args.window, s_size=args.step, engine=args.method, n_c=args.nc,
-        l2_t=args.l2t, sigma=args.sigma,
-        threshold_scale=args.threshold_scale, seed=args.seed,
-        n_p=args.pop, g_max=args.gmax, c_p1=args.cp1, c_p2=args.cp2,
-        max_rounds=args.max_rounds)
+    cfg = _config(args, DenoiseConfig())
     img = load_pgm(args.input)
-    build_grid(img, cfg.m, cfg.s_size)  # validate geometry before any work
-    if args.dump_transform:
-        ghm.dump_matrix_csv(ghm.build_ghm_matrix(cfg.m), args.dump_transform)
     trace = None
     if args.trace:
         def trace(gen, best_fitness, archive_size):
             print(f"gen={gen} best_fitness={best_fitness:.4f} "
                   f"archive={archive_size}", file=sys.stderr)
-    out, stats = denoise_image(img, cfg, trace=trace, threads=args.threads)
+    out, stats = denoise_image(img, cfg, trace=trace)
     save_pgm(out, args.output, binary=not args.ascii)
     print(stats.as_block())
     return EXIT_OK
@@ -166,13 +166,13 @@ def _cmd_psnr(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     img = load_pgm(args.input)
-    geom = build_grid(img, args.window, args.step)
-    F = ghm.build_ghm_matrix(args.window)
-    coeffs = ghm.forward_all(extract_windows(img, geom), F)
+    geom = build_grid(img, args.m, args.s_size)
+    coeffs = ghm.forward_all(extract_windows(img, geom),
+                             ghm.build_ghm_matrix(args.m))
     value = calibrate_l2t(coeffs, quantile=args.quantile,
                           sample_pairs=args.pairs, seed=args.seed)
     print(f"l2_t={value:.6g}")
-    print(f"sigma_estimate={estimate_sigma(img, F, geom):.4f}",
+    print(f"sigma_estimate={sigma_from_coeffs(coeffs, args.m):.4f}",
           file=sys.stderr)
     return EXIT_OK
 
@@ -181,10 +181,7 @@ def _cmd_bench(args) -> int:
     plan = BenchPlan(
         images=tuple(args.images), sigmas=tuple(args.sigmas),
         engines=tuple(args.engines), seeds=tuple(args.seeds),
-        m=args.window, s_size=args.step, n_c=args.nc, l2_t=args.l2t,
-        threshold_scale=args.threshold_scale, n_p=args.pop,
-        g_max=args.gmax, c_p1=args.cp1, c_p2=args.cp2,
-        max_rounds=args.max_rounds, timing=args.timing)
+        cfg=_config(args, BenchPlan().cfg), timing=args.timing)
     rows = run_bench(plan)
     print(render_table(rows))
     if args.out:

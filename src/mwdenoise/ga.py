@@ -44,15 +44,15 @@ and of a GA denoise, and checks blocks against lone runs.
 
 Memory. A block holds at most GA_BLOCK_ENTRIES cache values (512 KiB), so
 blocks get shorter as n_w grows; `lookup` prices PRICE_ENTRIES
-coefficients at a time, and a mutation pass tests at most n_c draws a
-row.
+coefficients at a time, with the scan's kernel `selection.distances_from`,
+and a mutation pass tests at most n_c draws a row.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .selection import ClosestSet, rank_ascending
+from .selection import ClosestSet, distances_from, rank_ascending
 
 GA_BLOCK_ENTRIES = 2 ** 16   # float64 cache values in one block (512 KiB)
 PRICE_ENTRIES = 2 ** 14      # coefficients differenced at once when pricing
@@ -147,10 +147,7 @@ class DistanceCache:
             step = max(1, PRICE_ENTRIES // self.flat.shape[1])
             for lo in range(0, len(pairs), step):
                 r, g = rr[lo:lo + step], gg[lo:lo + step]
-                diff = self.flat[g]
-                diff -= self.flat[self.refs[r]]
-                diff **= 2
-                self.values[r, g] = np.sqrt(np.add.reduce(diff, axis=1))
+                self.values[r, g] = distances_from(self.flat, self.refs[r], g)
             self.evaluations += np.bincount(rr, minlength=len(self.refs))
             d = self.values[rows, genes]
         return d
@@ -510,12 +507,11 @@ class GaSearch:
         return int(self.cache.evaluations[self.row])
 
 
-def ref_blocks(n_w: int, min_blocks: int = 1) -> list:
-    """Reference windows split into near-equal consecutive blocks: as few
-    as keep each block's cache within GA_BLOCK_ENTRIES values, but at
-    least `min_blocks` (and none empty)."""
-    count = max(-(-n_w // max(1, GA_BLOCK_ENTRIES // n_w)), min_blocks)
-    return np.array_split(np.arange(n_w), min(count, n_w))
+def ref_blocks(n_w: int) -> list:
+    """Reference windows split into near-equal consecutive blocks, as few
+    as keep each block's cache within GA_BLOCK_ENTRIES values."""
+    count = -(-n_w // max(1, GA_BLOCK_ENTRIES // n_w))
+    return np.array_split(np.arange(n_w), count)
 
 
 def search_block(coeffs: np.ndarray, refs, p: GaParams,

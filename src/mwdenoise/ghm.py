@@ -7,8 +7,6 @@ block-rows of the high-pass G0..G3, each block-row shifted by 4 columns
 with periodic wrap. A window w transforms as F w F^T.
 """
 
-import csv
-
 import numpy as np
 
 _S2 = np.sqrt(2.0)
@@ -58,25 +56,20 @@ def build_ghm_matrix(m: int) -> np.ndarray:
     return F
 
 
-def forward(values: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Window pixels -> multi-wavelet coefficients (F w F^T)."""
-    w = np.asarray(values, dtype=np.float64)
-    if w.shape != F.shape:
-        raise ValueError(f"window shape {w.shape} does not match transform "
-                         f"size {F.shape[0]}")
-    return F @ w @ F.T
-
 def forward_all(wins: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Forward transform of an (n, m, m) stack of windows."""
-    if wins.shape[-2:] != F.shape:
-        raise ValueError("window stack does not match transform size")
+    """Window pixels -> multi-wavelet coefficients (F w F^T) of an
+    (n, m, m) stack of windows; one window is a stack of one."""
+    if np.ndim(wins) != 3 or np.shape(wins)[-2:] != F.shape:
+        raise ValueError(f"window stack shape {np.shape(wins)} is not "
+                         f"(n, {F.shape[0]}, {F.shape[0]})")
     return np.einsum("ab,wbc,dc->wad", F, wins, F)
 
 
 def inverse(coeffs: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Multi-wavelet coefficients -> window pixels (F^T W F)."""
+    """Multi-wavelet coefficients -> window pixels (F^T W F), for one
+    (m, m) window or a (..., m, m) stack of them."""
     W = np.asarray(coeffs, dtype=np.float64)
-    if W.shape != F.shape:
+    if W.shape[-2:] != F.shape:
         raise ValueError(f"coefficient shape {W.shape} does not match "
                          f"transform size {F.shape[0]}")
     return F.T @ W @ F
@@ -98,11 +91,3 @@ def constant_free_rows(m: int):
     """
     half = m // 2
     return tuple(half + 1 + 2 * k for k in range(m // 4))
-
-
-def dump_matrix_csv(F: np.ndarray, path) -> None:
-    """Diagnostic dump of the transform matrix as CSV."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        for row in F:
-            writer.writerow([repr(float(v)) for v in row])

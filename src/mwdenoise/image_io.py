@@ -98,11 +98,17 @@ def load_pgm(path) -> np.ndarray:
 
 
 def save_pgm(img, path, binary: bool = True) -> None:
-    """Write a uint8 image as PGM (P5 if binary, else P2), atomically."""
+    """Write a uint8 image as PGM (P5 if binary, else P2), atomically.
+
+    Other dtypes are written when every pixel is an integer in [0, 255];
+    anything else (NaN, 1.7, 256) raises ValueError naming the value.
+    """
     a = _as_image(img)
     if a.dtype != np.uint8:
-        if a.min() < 0 or a.max() > PEAK:
-            raise ValueError("pixel values outside [0, 255]")
+        bad = ~((a >= 0) & (a <= PEAK) & (a == np.floor(a)))
+        if bad.any():
+            raise ValueError(f"pixel value {a[bad][0]} is not an integer "
+                             f"in [0, {PEAK}]")
         a = a.astype(np.uint8)
     height, width = a.shape
     if binary:

@@ -10,7 +10,6 @@ contributions are averaged uniformly.
 
 import math
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,36 +26,46 @@ ENGINES = ("exhaustive", "ga")
 
 @dataclass
 class DenoiseConfig:
+    """Every denoiser setting. The selection and GA settings take their
+    defaults from SelectionParams and GaParams, and are validated by
+    building them."""
     m: int = 16
     s_size: int = 8
     engine: str = "exhaustive"
-    n_c: int = 16
+    n_c: int = SelectionParams.n_c
     l2_t: float | None = None      # None: noise-adaptive gate from sigma
-    include_self: bool = True
+    include_self: bool = SelectionParams.include_self
     sigma: float | None = None     # None: estimate from the noisy image
     threshold_scale: float = 1.0
-    seed: int = 0
-    n_p: int = 10
-    g_max: int = 100
-    c_p1: int = 5
-    c_p2: int = 12
-    max_rounds: int = 5
+    seed: int = GaParams.seed
+    n_p: int = GaParams.n_p
+    g_max: int = GaParams.g_max
+    c_p1: int = GaParams.c_p1
+    c_p2: int = GaParams.c_p2
+    max_rounds: int = GaParams.max_rounds
 
     def __post_init__(self):
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}; "
                              f"expected one of {ENGINES}")
-        if not self.threshold_scale > 0:
-            raise ValueError("threshold_scale must be > 0")
+        if not 0 < self.threshold_scale < math.inf:
+            raise ValueError(f"threshold_scale must be finite and > 0, "
+                             f"got {self.threshold_scale}")
         if self.sigma is not None and not 0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be finite and >= 0, "
                              f"got {self.sigma}")
-        if self.n_c < 1:
-            raise ValueError(f"n_c must be >= 1, got {self.n_c}")
-        if self.l2_t is not None and not self.l2_t > 0:
-            raise ValueError(f"l2_t must be > 0, got {self.l2_t}")
+        # raise here, not mid-run
+        l2_t = math.inf if self.l2_t is None else self.l2_t
+        self.selection_params(l2_t)
         if self.engine == "ga":
-            self.ga_params(math.inf)   # raises here, not mid-run
+            if not self.include_self:
+                raise ValueError("include_self=False is not supported by "
+                                 "the 'ga' engine, only by 'exhaustive'")
+            self.ga_params(l2_t)
+
+    def selection_params(self, l2_t: float) -> SelectionParams:
+        return SelectionParams(n_c=self.n_c, l2_t=l2_t,
+                               include_self=self.include_self)
 
     def ga_params(self, l2_t: float) -> GaParams:
         return GaParams(n_c=self.n_c, n_p=self.n_p, g_max=self.g_max,
@@ -93,20 +102,6 @@ def _fmt_db(v):
     if v is None:
         return "n/a"
     return "inf" if math.isinf(v) else f"{v:.2f}"
-
-
-def estimate_sigma(img, F: np.ndarray, geom: GridGeometry | None = None) -> float:
-    """Robust noise estimate from constant-free detail coefficients.
-
-    Uses the high-pass rows whose filter taps sum to zero on both axes, so
-    flat image content contributes nothing; the estimate is the median
-    absolute coefficient divided by 0.6745.
-    """
-    m = F.shape[0]
-    if geom is None:
-        geom = build_grid(img, m, m)
-    coeffs = ghm.forward_all(extract_windows(img, geom), F)
-    return sigma_from_coeffs(coeffs, m)
 
 
 def sigma_from_coeffs(coeffs: np.ndarray, m: int) -> float:
@@ -177,10 +172,10 @@ def denoise_image(noisy, cfg: DenoiseConfig, trace=None, threads: int = 1):
     """Denoise a grayscale image; returns (image, RunStats).
 
     Raises ValueError before any work when threads < 1, n_c exceeds the
-    window count or a pixel is non-finite or outside [0, 255]. Per-window
-    work is independent; with threads > 1 it runs on a thread pool (the GA
-    searches its blocks of reference windows there too) and results are
-    merged in window order, so the output does not depend on scheduling.
+    window count or a pixel is non-finite or outside [0, 255]. The work
+    runs on one thread whatever `threads` is: its steps are short numpy
+    calls that hold the interpreter lock, and on two cores a thread pool
+    made both a 512x512 scan and a 96x96 GA image about 1.5x slower.
     GA trace records come in window order, then generation order.
     """
     start = time.perf_counter()
@@ -207,35 +202,23 @@ def denoise_image(noisy, cfg: DenoiseConfig, trace=None, threads: int = 1):
     l2_t = cfg.l2_t if cfg.l2_t is not None else noise_gate(sigma, cfg.m)
 
     if cfg.engine == "exhaustive":
-        params = SelectionParams(n_c=cfg.n_c, l2_t=l2_t,
-                                 include_self=cfg.include_self)
-        shortlists = gram_shortlist(coeffs, params)
-        def engine(ref_idx):
-            return exhaustive_select(ref_idx, coeffs, params,
-                                     shortlists[ref_idx])
+        params = cfg.selection_params(l2_t)
+        closest = (exhaustive_select(ref_idx, coeffs, params, shortlist)
+                   for ref_idx, shortlist in
+                   enumerate(gram_shortlist(coeffs, params)))
     else:
-        engine = _ga_closest_sets(coeffs, cfg.ga_params(l2_t), trace,
-                                  threads).__getitem__
+        closest = _ga_closest_sets(coeffs, cfg.ga_params(l2_t), trace)
 
-    def work(ref_idx):
-        closest = engine(ref_idx)
+    patches = []
+    total_evals = 0
+    for ref_idx, found in enumerate(closest):
         # fallback-filled members failed the distance gate; averaging them
         # in would mix dissimilar content into the estimate
-        gated = closest.gated_indices
+        gated = found.gated_indices
         members = gated[gated != ref_idx]
-        patch = denoise_window(coeffs[ref_idx], coeffs[members], t, F)
-        return patch, closest.evaluations
-
-    with _mapper(threads) as run:
-        results = list(run(work, range(geom.n_w)))
-
-    acc = Accumulator(noisy.shape)
-    total_evals = 0
-    for ref_idx, (patch, evals) in enumerate(results):
-        total_evals += evals
-        x, y = origin_of(geom, ref_idx)
-        acc.add(patch, x, y)
-    out = acc.finalize()
+        patches.append(denoise_window(coeffs[ref_idx], coeffs[members], t, F))
+        total_evals += found.evaluations
+    out = aggregate(patches, geom, noisy.shape)
 
     wall_ms = (time.perf_counter() - start) * 1000.0
     stats = RunStats(engine=cfg.engine, m=cfg.m, s_size=cfg.s_size,
@@ -244,31 +227,13 @@ def denoise_image(noisy, cfg: DenoiseConfig, trace=None, threads: int = 1):
     return out, stats
 
 
-@contextmanager
-def _mapper(threads: int):
-    """`map`, or the map of a pool of `threads` threads."""
-    if threads == 1:
-        yield map
-        return
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield pool.map
-
-
-def _ga_closest_sets(coeffs, p: GaParams, trace, threads: int) -> list:
+def _ga_closest_sets(coeffs, p: GaParams, trace):
     """Every window's GA closest set, in window order.
 
-    The reference windows are searched in blocks, `threads` blocks at a
-    time. Each window's closest set then comes from `ga_select`, which
-    replays its trace records, window by window.
+    The reference windows are searched in blocks. Each window's closest
+    set then comes from `ga_select`, which replays its trace records.
     """
-    def search(refs):
-        return ga.search_block(coeffs, refs, p, record=trace is not None)
-    blocks = ga.ref_blocks(len(coeffs), threads)
-    closest = []
-    with _mapper(threads) as run:
-        for lo in range(0, len(blocks), threads):
-            for block in run(search, blocks[lo:lo + threads]):
-                closest += [ga_select(s.ref_idx, coeffs, p, trace, search=s)
-                            for s in block]
-    return closest
+    for refs in ga.ref_blocks(len(coeffs)):
+        for search in ga.search_block(coeffs, refs, p,
+                                      record=trace is not None):
+            yield ga_select(search.ref_idx, coeffs, p, trace, search=search)

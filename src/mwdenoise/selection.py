@@ -72,27 +72,21 @@ class ClosestSet:
         return list(zip(self.indices.tolist(), self.distances.tolist()))
 
 
-def l2_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """L2 norm of the coefficient difference between two windows."""
-    x = np.asarray(a, dtype=np.float64)
-    y = np.asarray(b, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"size mismatch: {x.shape} vs {y.shape}")
-    return float(np.sqrt(np.sum((x - y) ** 2)))
-
-
-def distances_from(coeffs: np.ndarray, ref_idx: int,
+def distances_from(coeffs: np.ndarray, ref_idx,
                    candidates: np.ndarray | None = None) -> np.ndarray:
     """Distances from window `ref_idx` to the `candidates` windows (every
-    window when None), in candidate order.
+    window when None), in candidate order. `ref_idx` may also be an index
+    array as long as `candidates`, giving the distance of each pair.
 
-    This is the canonical kernel: each distance is computed from its own
-    two windows only, so it is bitwise the same whichever candidates are
-    asked for with it.
+    This is the one L2 kernel: every distance the engines use or report
+    comes from it. Each distance is computed from its own two windows
+    only, so it is bitwise the same whichever pairs are asked for with it.
     """
     flat = coeffs.reshape(len(coeffs), -1)
-    rows = flat if candidates is None else flat[candidates]
-    return np.sqrt(np.sum((rows - flat[ref_idx]) ** 2, axis=1))
+    diff = flat if candidates is None else flat[candidates]
+    diff = diff - flat[ref_idx]
+    diff **= 2
+    return np.sqrt(np.add.reduce(diff, axis=1))
 
 
 def rank_ascending(indices: np.ndarray, distances: np.ndarray) -> np.ndarray:
@@ -200,7 +194,6 @@ def calibrate_l2t(coeffs: np.ndarray, quantile: float = 0.05,
     if sample_pairs < 100:
         raise ValueError(f"need at least 100 sample pairs, got {sample_pairs}")
     n_w = len(coeffs)
-    flat = coeffs.reshape(n_w, -1)
     rng = np.random.default_rng(seed)
     dists = np.empty(sample_pairs)
     got = 0
@@ -209,8 +202,7 @@ def calibrate_l2t(coeffs: np.ndarray, quantile: float = 0.05,
         j = rng.integers(0, n_w, size=sample_pairs - got)
         ok = i != j if n_w > 1 else np.ones(len(i), dtype=bool)
         k = ok.sum()
-        dists[got:got + k] = np.sqrt(
-            np.sum((flat[i[ok]] - flat[j[ok]]) ** 2, axis=1))
+        dists[got:got + k] = distances_from(coeffs, i[ok], j[ok])
         got += k
     value = float(np.quantile(dists, quantile))
     if value <= 0.0:

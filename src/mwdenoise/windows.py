@@ -62,20 +62,8 @@ def origin_of(geom: GridGeometry, idx: int):
     return geom.xs[idx % geom.cols], geom.ys[idx // geom.cols]
 
 
-def window_at(img, geom: GridGeometry, idx: int) -> np.ndarray:
-    """The m-by-m pixel block of window `idx`, lifted to float64."""
-    x, y = origin_of(geom, idx)
-    return np.asarray(img)[y:y + geom.m, x:x + geom.m].astype(np.float64)
-
-
 def extract_windows(img, geom: GridGeometry) -> np.ndarray:
     """All windows as an (n_w, m, m) float64 array, row-major order."""
     a = np.asarray(img).astype(np.float64)
-    m = geom.m
-    out = np.empty((geom.n_w, m, m))
-    i = 0
-    for y in geom.ys:
-        for x in geom.xs:
-            out[i] = a[y:y + m, x:x + m]
-            i += 1
-    return out
+    view = np.lib.stride_tricks.sliding_window_view(a, (geom.m, geom.m))
+    return view[np.ix_(geom.ys, geom.xs)].reshape(geom.n_w, geom.m, geom.m)

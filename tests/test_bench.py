@@ -7,10 +7,11 @@ from mwdenoise.bench import (BenchPlan, CSV_COLUMNS, emit_csv, noise_seed,
                              render_table, resolve_image, run_bench,
                              summarize)
 from mwdenoise.phantom import ct_phantom
+from mwdenoise.pipeline import DenoiseConfig
 from mwdenoise.windows import build_grid
 
 SMALL = dict(images=("phantom:64",), sigmas=(10.0, 30.0), seeds=(0,),
-             m=8, s_size=4)
+             cfg=DenoiseConfig(m=8, s_size=4, threshold_scale=0.25))
 
 
 class TestPlanValidation:
@@ -25,6 +26,18 @@ class TestPlanValidation:
     def test_unknown_engine(self):
         with pytest.raises(ValueError):
             BenchPlan(engines=("exhaustive", "bogus"))
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="finite"):
+            BenchPlan(sigmas=(10.0, sigma))
+
+    def test_engine_settings_checked_at_plan(self):
+        # the GA needs c_p2 <= n_c - 1; the scan does not
+        cfg = DenoiseConfig(m=8, s_size=4, n_c=4)
+        with pytest.raises(ValueError, match="crossover points"):
+            BenchPlan(cfg=cfg)
+        BenchPlan(cfg=cfg, engines=("noisy-only", "exhaustive"))
 
 
 def test_resolve_phantom_spec():
@@ -67,6 +80,14 @@ class TestRunBench:
             if r.engine == "exhaustive":
                 assert r.distance_evals == geom.n_w * geom.n_w
 
+    def test_template_settings_used(self):
+        # every cell denoises with the template's grid, not the default one
+        plan = BenchPlan(images=("phantom:32",), sigmas=(10.0,),
+                         engines=("exhaustive",), seeds=(0,),
+                         cfg=DenoiseConfig(m=8, s_size=8, n_c=4))
+        geom = build_grid(ct_phantom(32), 8, 8)
+        assert [r.distance_evals for r in run_bench(plan)] == [geom.n_w ** 2]
+
     def test_ga_evaluates_fewer_or_equal(self, rows):
         by_key = {(r.sigma, r.engine): r for r in rows}
         for sigma in (10.0, 30.0):
@@ -79,7 +100,7 @@ class TestRunBench:
     def test_wall_ms_present_with_timing(self):
         plan = BenchPlan(images=("phantom:32",), sigmas=(10.0,),
                          engines=("noisy-only", "exhaustive"), seeds=(0,),
-                         m=8, s_size=4, timing=True)
+                         timing=True)
         rows = run_bench(plan)
         assert all(r.wall_ms is not None for r in rows)
 

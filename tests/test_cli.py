@@ -1,10 +1,14 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+from mwdenoise.bench import BenchPlan
 from mwdenoise.cli import (EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION,
-                           main)
+                           build_parser, main)
 from mwdenoise.image_io import add_awgn, load_pgm, psnr, save_pgm
 from mwdenoise.phantom import ct_phantom
+from mwdenoise.pipeline import DenoiseConfig
 
 
 @pytest.fixture
@@ -87,38 +91,38 @@ class TestDenoise:
         assert code == EXIT_VALIDATION
         capsys.readouterr()
 
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_threads_below_one(self, noisy_pgm, tmp_path, capsys, threads):
-        out = tmp_path / "out.pgm"
-        code = main(["denoise", str(noisy_pgm), str(out), "--window", "8",
-                     "--step", "4", "--sigma", "15", "--threads", threads])
-        assert code == EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert f"threads must be >= 1, got {threads}" in err
-        assert not out.exists()
-
-    def test_ga_trace_same_with_threads(self, tmp_path, capsys):
+    def test_ga_trace_deterministic(self, tmp_path, capsys):
         src = tmp_path / "in.pgm"
         save_pgm(add_awgn(ct_phantom(48), 15, 0), src)
         streams = []
         for tag in ("a", "b"):
             assert main(["denoise", str(src), str(tmp_path / f"{tag}.pgm"),
                          "--method", "ga", "--window", "8", "--step", "4",
-                         "--sigma", "15", "--trace", "--threads", "2"]) \
-                == EXIT_OK
+                         "--sigma", "15", "--trace"]) == EXIT_OK
             streams.append(capsys.readouterr().err)
         assert streams[0] == streams[1]
         assert streams[0].startswith("gen=1 ")
 
-    def test_dump_transform(self, noisy_pgm, tmp_path, capsys):
-        dump = tmp_path / "F.csv"
-        code = main(["denoise", str(noisy_pgm), str(tmp_path / "d.pgm"),
-                     "--window", "8", "--step", "8", "--sigma", "0",
-                     "--dump-transform", str(dump)])
+    def test_settings_reach_config(self, noisy_pgm, tmp_path, capsys):
+        code = main(["denoise", str(noisy_pgm), str(tmp_path / "o.pgm"),
+                     "--method", "ga", "--window", "8", "--step", "8",
+                     "--nc", "4", "--cp1", "1", "--cp2", "3", "--pop", "4",
+                     "--gmax", "3", "--max-rounds", "1", "--sigma", "15",
+                     "--seed", "7"])
         assert code == EXIT_OK
-        rows = dump.read_text().strip().splitlines()
-        assert len(rows) == 8 and len(rows[0].split(",")) == 8
-        capsys.readouterr()
+        out = capsys.readouterr().out
+        for line in ("engine=ga", "m=8", "s_size=8", "n_c=4", "seed=7"):
+            assert line in out.splitlines()
+
+    @pytest.mark.parametrize("bad", [["--threshold-scale", "inf"],
+                                     ["--cp2", "16"], ["--l2t", "0"]])
+    def test_bad_setting_rejected(self, noisy_pgm, tmp_path, capsys, bad):
+        out = tmp_path / "x.pgm"
+        code = main(["denoise", str(noisy_pgm), str(out), "--method", "ga",
+                     *bad])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 class TestPsnr:
@@ -177,3 +181,17 @@ class TestBench:
         assert main(self.ARGS + ["--out", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
         capsys.readouterr()
+
+    def test_defaults_from_dataclasses(self):
+        parser = build_parser()
+        plan = BenchPlan()
+        for argv, cfg in ((["denoise", "in", "out"], DenoiseConfig()),
+                          (["bench"], plan.cfg)):
+            args = vars(parser.parse_args(argv))
+            given = {k: v for k, v in asdict(cfg).items() if k in args}
+            assert given == {k: args[k] for k in given}
+            assert len(given) >= 10
+        args = parser.parse_args(["bench"])
+        assert (tuple(args.images), tuple(args.sigmas), tuple(args.engines),
+                tuple(args.seeds)) == (plan.images, plan.sigmas,
+                                       plan.engines, plan.seeds)

@@ -577,8 +577,9 @@ class TestBlockSearch:
         blocks = ref_blocks(225)
         assert len(blocks) == 4 and len({len(b) for b in blocks}) > 1
         assert np.array_equal(np.concatenate(blocks), np.arange(225))
-        assert len(ref_blocks(225, min_blocks=7)) == 7
-        assert len(ref_blocks(3, min_blocks=7)) == 3
+        assert [len(b) for b in ref_blocks(3)] == [3]
+        monkeypatch.setattr(ga_mod, "GA_BLOCK_ENTRIES", 100)  # < one row
+        assert len(ref_blocks(225)) == 225
 
     def test_denoise_independent_of_block_size(self, monkeypatch):
         noisy = add_awgn(ct_phantom(64), 15, 0)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from mwdenoise.ghm import (GHM_LOWPASS, build_ghm_matrix, constant_free_rows,
-                           detail_mask, dump_matrix_csv, forward, forward_all,
-                           inverse)
+                           detail_mask, forward_all, inverse)
 
 
 @pytest.mark.parametrize("m", [8, 16, 32])
@@ -30,15 +29,13 @@ def test_first_row_is_h_blocks_without_wrap():
 class TestForwardInverse:
     def test_zero_window(self):
         F = build_ghm_matrix(8)
-        assert np.all(forward(np.zeros((8, 8)), F) == 0)
+        assert np.all(forward_all(np.zeros((1, 8, 8)), F) == 0)
         assert np.all(inverse(np.zeros((8, 8)), F) == 0)
 
     def test_parseval(self):
         F = build_ghm_matrix(16)
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            w = rng.uniform(0, 255, (16, 16))
-            W = forward(w, F)
+        wins = np.random.default_rng(0).uniform(0, 255, (50, 16, 16))
+        for w, W in zip(wins, forward_all(wins, F)):
             assert np.linalg.norm(W) == pytest.approx(np.linalg.norm(w),
                                                       rel=1e-9)
 
@@ -47,15 +44,15 @@ class TestForwardInverse:
         rng = np.random.default_rng(1)
         E = rng.normal(size=(8, 8))
         w = F.T @ E @ F
-        assert np.abs(forward(w, F) - E).max() < 1e-9
+        assert np.abs(forward_all(w[None], F)[0] - E).max() < 1e-9
 
     def test_round_trip(self):
         rng = np.random.default_rng(2)
         for m in (8, 16):
             F = build_ghm_matrix(m)
-            for _ in range(50):
-                w = rng.uniform(0, 255, (m, m))
-                assert np.abs(inverse(forward(w, F), F) - w).max() < 1e-8
+            wins = rng.uniform(0, 255, (50, m, m))
+            assert np.abs(inverse(forward_all(wins, F), F) - wins).max() \
+                < 1e-8
 
     def test_identity_coefficients(self):
         F = build_ghm_matrix(8)
@@ -65,18 +62,21 @@ class TestForwardInverse:
     def test_linearity(self):
         F = build_ghm_matrix(8)
         rng = np.random.default_rng(3)
-        a = rng.normal(size=(8, 8))
-        b = rng.normal(size=(8, 8))
-        lhs = forward(2.5 * a - 1.5 * b, F)
-        rhs = 2.5 * forward(a, F) - 1.5 * forward(b, F)
+        a = rng.normal(size=(1, 8, 8))
+        b = rng.normal(size=(1, 8, 8))
+        lhs = forward_all(2.5 * a - 1.5 * b, F)
+        rhs = 2.5 * forward_all(a, F) - 1.5 * forward_all(b, F)
         assert np.abs(lhs - rhs).max() < 1e-9 * max(1.0, np.abs(rhs).max())
 
     def test_size_mismatch(self):
         F = build_ghm_matrix(8)
-        with pytest.raises(ValueError):
-            forward(np.zeros((16, 16)), F)
-        with pytest.raises(ValueError):
-            inverse(np.zeros((16, 16)), F)
+        for wins in (np.zeros((1, 16, 16)), np.zeros((8, 8)),
+                     np.zeros((2, 1, 8, 8))):
+            with pytest.raises(ValueError):
+                forward_all(wins, F)
+        for coeffs in (np.zeros((16, 16)), np.zeros((3, 8, 16))):
+            with pytest.raises(ValueError):
+                inverse(coeffs, F)
 
     def test_forward_all_matches_scalar(self):
         F = build_ghm_matrix(8)
@@ -84,18 +84,28 @@ class TestForwardInverse:
         stack = rng.uniform(0, 255, (5, 8, 8))
         batch = forward_all(stack, F)
         for i in range(5):
-            assert np.allclose(batch[i], forward(stack[i], F))
+            assert np.allclose(batch[i], F @ stack[i] @ F.T)
+
+    @pytest.mark.parametrize("m", [8, 16])
+    def test_inverse_stack_matches_single(self, m):
+        # byte for byte: the pipeline may invert one window or a stack
+        F = build_ghm_matrix(m)
+        coeffs = np.random.default_rng(m).normal(0, 100, (6, 5, m, m))
+        stacked = inverse(coeffs, F)
+        assert stacked.shape == coeffs.shape
+        for i in np.ndindex(coeffs.shape[:2]):
+            assert stacked[i].tobytes() == inverse(coeffs[i], F).tobytes()
 
 
 def test_distance_preserved_across_domains():
     F = build_ghm_matrix(16)
     rng = np.random.default_rng(5)
-    for _ in range(50):
-        a = rng.uniform(0, 255, (16, 16))
-        b = rng.uniform(0, 255, (16, 16))
-        d_pix = np.linalg.norm(a - b)
-        d_coef = np.linalg.norm(forward(a, F) - forward(b, F))
-        assert d_coef == pytest.approx(d_pix, rel=1e-9)
+    a = rng.uniform(0, 255, (50, 16, 16))
+    b = rng.uniform(0, 255, (50, 16, 16))
+    diff = forward_all(a, F) - forward_all(b, F)
+    for d, w in zip(diff, a - b):
+        assert np.linalg.norm(d) == pytest.approx(np.linalg.norm(w),
+                                                  rel=1e-9)
 
 
 def test_detail_mask_geometry():
@@ -109,12 +119,3 @@ def test_constant_free_rows_annihilate_constants():
         F = build_ghm_matrix(m)
         rows = constant_free_rows(m)
         assert np.abs(F[list(rows)].sum(axis=1)).max() < 1e-12
-
-
-def test_csv_dump_round_trips(tmp_path):
-    F = build_ghm_matrix(8)
-    path = tmp_path / "ghm.csv"
-    dump_matrix_csv(F, path)
-    back = np.array([[float(v) for v in line.split(",")]
-                     for line in path.read_text().strip().splitlines()])
-    assert np.array_equal(back, F)

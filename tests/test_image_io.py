@@ -75,6 +75,24 @@ class TestSavePgm:
         body = p.read_bytes().split(b"255", 1)[1].split()
         assert body == [b"0"]
 
+    @pytest.mark.parametrize("bad", [1.7, 254.9, float("nan"), float("inf"),
+                                     -1.0, 256.0])
+    def test_non_integral_or_out_of_range_rejected(self, tmp_path, bad):
+        # would be truncated, zeroed or wrapped on the uint8 cast
+        img = np.full((3, 3), 10.0)
+        img[1, 2] = bad
+        p = tmp_path / "bad.pgm"
+        with pytest.raises(ValueError, match=f"pixel value {bad}"):
+            save_pgm(img, p)
+        assert not p.exists()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.uint16])
+    def test_integral_pixels_of_other_dtypes(self, tmp_path, dtype):
+        img = np.arange(256).reshape(16, 16).astype(dtype)
+        p = tmp_path / "ok.pgm"
+        save_pgm(img, p)
+        assert np.array_equal(load_pgm(p), img)
+
 
 class TestAddAwgn:
     def test_sigma_zero_identity(self):

@@ -2,37 +2,38 @@ import numpy as np
 import pytest
 
 from mwdenoise import ghm
+from mwdenoise.ga import GaParams
 from mwdenoise.image_io import add_awgn, psnr
 from mwdenoise.phantom import ct_phantom
 from mwdenoise.pipeline import (Accumulator, DenoiseConfig, aggregate,
                                 denoise_image, denoise_window,
-                                estimate_sigma, sigma_from_coeffs,
-                                soft_threshold, universal_threshold)
+                                sigma_from_coeffs, soft_threshold,
+                                universal_threshold)
 from mwdenoise.windows import build_grid, extract_windows, origin_of
+
+
+def estimate_sigma(img, m=8):
+    """The noise estimate over non-overlapping m-by-m windows."""
+    coeffs = ghm.forward_all(extract_windows(img, build_grid(img, m, m)),
+                             ghm.build_ghm_matrix(m))
+    return sigma_from_coeffs(coeffs, m)
 
 
 class TestEstimateSigma:
     def test_constant_image_zero(self):
-        F = ghm.build_ghm_matrix(8)
         img = np.full((32, 32), 77, np.uint8)
-        assert estimate_sigma(img, F) < 1e-9
+        assert estimate_sigma(img) < 1e-9
 
     def test_recovers_injected_noise(self):
-        F = ghm.build_ghm_matrix(8)
         noisy = add_awgn(ct_phantom(128), 20, 0)
-        assert 17.0 <= estimate_sigma(noisy, F) <= 23.0
+        assert 17.0 <= estimate_sigma(noisy) <= 23.0
 
     def test_constant_offset_invariance(self):
         # synthetic float data, no clamping involved
-        F = ghm.build_ghm_matrix(8)
         rng = np.random.default_rng(0)
         base = rng.uniform(50, 150, (64, 64))
-        geom = build_grid(base, 8, 8)
-        a = sigma_from_coeffs(ghm.forward_all(extract_windows(base, geom), F), 8)
-        shifted = base + 10.0
-        b = sigma_from_coeffs(
-            ghm.forward_all(extract_windows(shifted, geom), F), 8)
-        assert a == pytest.approx(b, abs=1e-9)
+        assert estimate_sigma(base) == \
+            pytest.approx(estimate_sigma(base + 10.0), abs=1e-9)
 
 
 class TestSoftThreshold:
@@ -67,7 +68,7 @@ class TestDenoiseWindow:
         F = ghm.build_ghm_matrix(8)
         rng = np.random.default_rng(2)
         w = rng.uniform(0, 255, (8, 8))
-        ref = ghm.forward(w, F)
+        ref = ghm.forward_all(w[None], F)[0]
         closers = np.stack([ref, ref, ref])
         assert np.abs(denoise_window(ref, closers, 0.0, F) - w).max() < 1e-8
 
@@ -75,7 +76,7 @@ class TestDenoiseWindow:
         F = ghm.build_ghm_matrix(8)
         rng = np.random.default_rng(3)
         w = rng.uniform(0, 255, (8, 8))
-        ref = ghm.forward(w, F)
+        ref = ghm.forward_all(w[None], F)[0]
         out = denoise_window(ref, np.empty((0, 8, 8)), 0.0, F)
         assert np.abs(out - w).max() < 1e-8
 
@@ -206,6 +207,20 @@ class TestValidation:
             DenoiseConfig(engine="ga", n_c=4)
         DenoiseConfig(engine="exhaustive", n_c=4)
         DenoiseConfig(engine="ga", n_c=4, c_p1=1, c_p2=3)
+
+    @pytest.mark.parametrize("scale", [float("inf"), float("nan"), 0.0])
+    def test_bad_threshold_scale_rejected(self, scale):
+        # inf would zero every detail band
+        with pytest.raises(ValueError, match="threshold_scale"):
+            DenoiseConfig(threshold_scale=scale)
+
+    def test_ga_rejects_include_self_off(self):
+        with pytest.raises(ValueError, match="'ga' engine"):
+            DenoiseConfig(engine="ga", include_self=False)
+        DenoiseConfig(engine="exhaustive", include_self=False)
+
+    def test_ga_defaults_from_ga_params(self):
+        assert DenoiseConfig().ga_params(np.inf) == GaParams()
 
     @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -1.0])
     def test_bad_sigma_rejected(self, sigma):

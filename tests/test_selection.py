@@ -8,8 +8,8 @@ from mwdenoise.image_io import add_awgn
 from mwdenoise.phantom import ct_phantom
 from mwdenoise.pipeline import DenoiseConfig, denoise_image
 from mwdenoise.selection import (SelectionParams, calibrate_l2t,
-                                 exhaustive_select, gram_shortlist,
-                                 l2_distance, noise_gate)
+                                 distances_from, exhaustive_select,
+                                 gram_shortlist, noise_gate)
 from mwdenoise.windows import build_grid, extract_windows
 
 BIG = 1e12
@@ -23,39 +23,56 @@ def coeffs():
     return ghm.forward_all(extract_windows(img, geom), F)
 
 
+def l2(a, b):
+    """Distance of two windows through the one kernel."""
+    return float(distances_from(np.stack([a, b]), 0, np.array([1]))[0])
+
+
 class TestL2Distance:
     def test_identical_zero(self):
         w = np.random.default_rng(0).normal(size=(8, 8))
-        assert l2_distance(w, w) == 0.0
+        assert l2(w, w) == 0.0
 
     def test_single_coefficient(self):
         a = np.zeros((8, 8))
         b = a.copy()
         b[3, 5] = 7.25
-        assert l2_distance(a, b) == pytest.approx(7.25)
+        assert l2(a, b) == pytest.approx(7.25)
 
     def test_matches_pixel_domain(self):
         F = ghm.build_ghm_matrix(8)
         rng = np.random.default_rng(1)
-        for _ in range(30):
-            a = rng.uniform(0, 255, (8, 8))
-            b = rng.uniform(0, 255, (8, 8))
-            assert l2_distance(ghm.forward(a, F), ghm.forward(b, F)) == \
-                pytest.approx(np.linalg.norm(a - b), rel=1e-9)
+        a = rng.uniform(0, 255, (30, 8, 8))
+        b = rng.uniform(0, 255, (30, 8, 8))
+        ca, cb = ghm.forward_all(a, F), ghm.forward_all(b, F)
+        for i in range(30):
+            assert l2(ca[i], cb[i]) == \
+                pytest.approx(np.linalg.norm(a[i] - b[i]), rel=1e-9)
 
     def test_size_mismatch(self):
+        # pairs are given as two index arrays of one length
+        stack = np.zeros((4, 8, 8))
         with pytest.raises(ValueError):
-            l2_distance(np.zeros((8, 8)), np.zeros((4, 4)))
+            distances_from(stack, np.array([0, 1]), np.array([1, 2, 3]))
 
     def test_metric_axioms(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
             a, b, c = rng.normal(size=(3, 8, 8))
-            dab = l2_distance(a, b)
-            dba = l2_distance(b, a)
+            dab = l2(a, b)
+            dba = l2(b, a)
             assert dab >= 0 and dab == dba
-            assert l2_distance(a, b) <= \
-                l2_distance(a, c) + l2_distance(c, b) + 1e-9
+            assert l2(a, b) <= l2(a, c) + l2(c, b) + 1e-9
+
+    def test_pairs_match_single_reference(self, coeffs):
+        # bitwise: a distance depends only on its own two windows
+        rng = np.random.default_rng(3)
+        refs = rng.integers(0, len(coeffs), 500)
+        cands = rng.integers(0, len(coeffs), 500)
+        pairs = distances_from(coeffs, refs, cands)
+        for r, c, d in zip(refs, cands, pairs):
+            assert d.tobytes() == distances_from(coeffs, r)[c].tobytes()
+            assert d.tobytes() == distances_from(coeffs, c, [r])[0].tobytes()
 
 
 def brute_force_select(ref_idx, coeffs, params):

@@ -3,8 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from mwdenoise.windows import (build_grid, extract_windows, origin_of,
-                               window_at)
+from mwdenoise.windows import build_grid, extract_windows, origin_of
 
 
 def random_image(rng, h, w):
@@ -60,17 +59,25 @@ class TestWindowAt:
 
     def test_index_out_of_range(self):
         geom = build_grid(np.zeros((32, 32), np.uint8), 8, 4)
-        with pytest.raises(IndexError):
-            window_at(np.zeros((32, 32), np.uint8), geom, geom.n_w)
+        for idx in (geom.n_w, -1):
+            with pytest.raises(IndexError):
+                origin_of(geom, idx)
 
     def test_values_match_slices(self):
+        # every offset, the clamped last row and column included
         rng = np.random.default_rng(0)
-        img = random_image(rng, 40, 28)
-        geom = build_grid(img, 8, 4)
-        for idx in range(geom.n_w):
-            x, y = origin_of(geom, idx)
-            assert np.array_equal(window_at(img, geom, idx),
-                                  img[y:y + 8, x:x + 8].astype(np.float64))
+        for h, w, m, s in ((40, 28, 8, 4), (41, 30, 8, 5), (30, 44, 8, 5),
+                           (23, 19, 4, 3)):
+            for img in (random_image(rng, h, w), rng.uniform(0, 255, (h, w))):
+                geom = build_grid(img, m, s)
+                stack = extract_windows(img, geom)
+                assert stack.dtype == np.float64 and stack.flags.c_contiguous
+                assert stack.shape == (geom.n_w, m, m)
+                for idx in range(geom.n_w):
+                    x, y = origin_of(geom, idx)
+                    assert np.array_equal(
+                        stack[idx], img[y:y + m, x:x + m].astype(np.float64))
+            assert geom.xs[-1] == w - m and geom.ys[-1] == h - m
 
 
 class TestProperties:
@@ -102,11 +109,3 @@ class TestProperties:
         geom = build_grid(img, 8, 4)
         assert np.array_equal(extract_windows(img, geom),
                               extract_windows(replica, geom))
-
-    def test_extract_matches_window_at(self):
-        rng = np.random.default_rng(3)
-        img = random_image(rng, 30, 44)
-        geom = build_grid(img, 8, 5)
-        stack = extract_windows(img, geom)
-        for idx in (0, 1, geom.n_w // 2, geom.n_w - 1):
-            assert np.array_equal(stack[idx], window_at(img, geom, idx))
