@@ -109,3 +109,13 @@ class TestProperties:
         geom = build_grid(img, 8, 4)
         assert np.array_equal(extract_windows(img, geom),
                               extract_windows(replica, geom))
+
+    def test_extract_matches_window_at(self):
+        rng = np.random.default_rng(3)
+        img = random_image(rng, 30, 44)
+        geom = build_grid(img, 8, 5)
+        stack = extract_windows(img, geom)
+        for idx in (0, 1, geom.n_w // 2, geom.n_w - 1):
+            x, y = origin_of(geom, idx)
+            assert np.array_equal(stack[idx],
+                                  img[y:y + 8, x:x + 8].astype(np.float64))
