@@ -9,13 +9,15 @@ gene at or above it), and folds every gated gene into a persistent
 best-window archive. Rounds of g_max generations repeat until the archive
 is full or the round cap is hit.
 
-The archive is always the n_c best, by (distance, index), of the gated
-windows (distance below l2_t) evaluated so far: every evaluated chromosome,
-before and after mutation, passes through `update_best_set`. So a
-generation that prices no gated window closer than the archive's farthest
-member leaves it as it is, and the merge is skipped. It also means the
-archive can be read off the distance cache: folding every priced gated
-window into an empty archive at once gives the same n_c members.
+The reference window is priced first, so the gated set holds it as the
+scan's does. The archive is always the n_c best, by (distance, index), of
+the gated windows (`selection.passes_gate`) evaluated so far: every
+evaluated chromosome, before and after mutation, passes through
+`update_best_set`. So a generation that prices no gated window closer than
+the archive's farthest member leaves it as it is, and the merge is
+skipped. It also means the archive can be read off the distance cache:
+folding every priced gated window into an empty archive at once gives the
+same n_c members.
 
 Lockstep blocks. `search_block` runs the GA for a block of reference
 windows at once. The population is a (rows, n_p, n_c) array and the
@@ -29,35 +31,41 @@ fallback fill, and a replay of the row's trace records. Run without a
 search, `ga_select` is the one-row block, and it folds each generation's
 population through `update_best_set` as it goes.
 
-Streams. Each reference window draws from its own stream (`ref_stream`):
-one `integers(0, n_w)` value per gene try, in a fixed order. `RowDraws`
-gives each row a small buffer of its stream; on numpy, k draws made at
-once give the same values, and leave the same generator state, as k
-scalar calls. The operators use a row's draws in exactly the order of a
-lone run: a row's children are made one after another, each repaired left
-to right and then mutated point by point in position order. A batched
-step tests many draws at once but uses up only those the one-at-a-time
-rule would have taken, so a block changes no value, distance bit or
-evaluation count. `tests/test_ga.py` pins the stream with digests of
-`ga_select` results, of the generator state after a run of the operators
-and of a GA denoise, and checks blocks against lone runs.
+Draws. No draw is read from a stream: each is a pure function of its
+address, `mix(key, op, generation, string, position, try) % n_w`, a
+splitmix64-style hash (Salmon et al., "Parallel random numbers: as easy as
+1, 2, 3", SC 2011). `op` is init, repair or mutate, `string` the
+chromosome or child, and `try` counts the values a position refused. A
+row's key is the first raw word of its `ref_stream`; an operator given a
+numpy `Generator` takes one raw word from it as its key. The three
+operators fill genes by one rule (`_fill`): a position takes its next try
+until its value is in neither the genes before it nor the old genes at it
+or after it. No draw depends on another row, so a block gives each row
+exactly its lone run. `tests/test_ga.py` pins the draws with digests of
+`ga_select` results, of a run of the operators and of a GA denoise, and
+checks blocks against lone runs.
 
 Memory. A block holds at most GA_BLOCK_ENTRIES cache values (512 KiB), so
 blocks get shorter as n_w grows; `lookup` prices PRICE_ENTRIES
-coefficients at a time, with the scan's kernel `selection.distances_from`,
-and a mutation pass tests at most n_c draws a row.
+coefficients at a time, with the scan's kernel `selection.distances_from`.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .selection import ClosestSet, distances_from, rank_ascending
+from .selection import ClosestSet, distances_from, passes_gate, rank_ascending
 
 GA_BLOCK_ENTRIES = 2 ** 16   # float64 cache values in one block (512 KiB)
 PRICE_ENTRIES = 2 ** 14      # coefficients differenced at once when pricing
-DRAW_CHUNK = 128             # draws a block row reads ahead at a time
-WALK_ROWS = 8                # rows few enough to redraw one draw at a time
+INIT, REPAIR, MUTATE = 0, 1, 2   # the `op` of a draw's address
+# splitmix64 Weyl steps and finalizer (0-d arrays apply faster than scalars)
+_STEPS = (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9,
+          0xD6E8FEB86659FD93, 0xA0761D6478BD642F)
+_STRING, _POSITION, _TRY = (np.array(c, np.uint64) for c in _STEPS[2:])
+_SHIFT1, _MUL1, _SHIFT2, _MUL2, _SHIFT3 = (
+    np.array(c, np.uint64)
+    for c in (30, 0xBF58476D1CE4E5B9, 27, 0x94D049BB133111EB, 31))
 
 
 @dataclass
@@ -83,6 +91,8 @@ class GaParams:
             raise ValueError("g_max and max_rounds must be >= 1")
         if not self.l2_t > 0:
             raise ValueError(f"l2_t must be > 0, got {self.l2_t}")
+        if self.seed < 0:
+            raise ValueError(f"GA seed must be >= 0, got {self.seed}")
 
     @property
     def crossover_rate(self) -> float:
@@ -138,7 +148,7 @@ class DistanceCache:
         miss = np.isnan(d)
         if miss.any():
             pairs = (rows * self.n_w + genes)[miss]
-            if len(pairs) > 1:   # each pair once
+            if len(pairs) > 1:   # each pair once; np.unique is slower
                 pairs.sort()
                 first = np.ones(len(pairs), bool)
                 np.not_equal(pairs[1:], pairs[:-1], out=first[1:])
@@ -163,214 +173,86 @@ def ref_stream(seed: int, ref_idx: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, ref_idx)))
 
 
-class RowDraws:
-    """Each row's stream of integers(0, n_w), read ahead through a buffer.
-
-    `peek` shows a row's next draws without using them up and `advance`
-    uses them up, so an operator can test a run of draws at once and then
-    take only those its one-at-a-time rule would have taken. With
-    `chunk` 0 a row draws only what it peeks; the operators peek no more
-    than they are sure to use, so a `Generator` passed to them ends in the
-    same state as after the same scalar draws.
-    """
-
-    def __init__(self, gens, n_w: int, chunk: int = 0):
-        self.gens = list(gens)
-        self.n_w = n_w
-        self.chunk = chunk
-        self.buf = np.zeros((len(self.gens), 0), np.int64)
-        self.ptr = np.zeros(len(self.gens), np.intp)
-        self.end = np.zeros(len(self.gens), np.intp)
-
-    def __len__(self):
-        return len(self.gens)
-
-    def peek(self, rows: np.ndarray, need: np.ndarray) -> np.ndarray:
-        """(len(rows), need.max()) array of the next draws of `rows`
-        (distinct); entries of row i past need[i] are meaningless."""
-        ptr = self.ptr[rows]
-        short = self.end[rows] - ptr < need
-        if short.any():
-            self._refill(rows[short], need[short])
-            ptr = self.ptr[rows]
-        cols = np.minimum(ptr[:, None] + np.arange(need.max()),
-                          self.buf.shape[1] - 1)
-        return self.buf[rows[:, None], cols]
-
-    def peek_row(self, row: int, need: int) -> list:
-        """The next `need` draws of one row, as `peek` shows them."""
-        if self.end[row] - self.ptr[row] < need:
-            self._refill(np.array([row]), np.array([need]))
-        return self.buf[row, self.ptr[row]:self.ptr[row] + need].tolist()
-
-    def advance(self, rows, counts):
-        self.ptr[rows] += counts
-
-    def keep(self, mask: np.ndarray):
-        """Drop the rows where `mask` is False."""
-        self.gens = [g for g, k in zip(self.gens, mask.tolist()) if k]
-        self.buf, self.ptr, self.end = (
-            self.buf[mask], self.ptr[mask], self.end[mask])
-
-    def take(self, rows: np.ndarray) -> "RowSubset":
-        """The streams of `rows`, as rows 0.. of a draw source."""
-        return RowSubset(self, rows)
-
-    def _refill(self, rows, need):
-        have = self.end[rows] - self.ptr[rows]
-        width = int(need.max()) + self.chunk
-        if self.buf.shape[1] < width:
-            grown = np.empty((len(self.buf), width), np.int64)
-            grown[:, :self.buf.shape[1]] = self.buf
-            self.buf = grown
-        # move the unused draws to the front, then append fresh ones
-        cols = self.ptr[rows, None] + np.arange(have.max())
-        self.buf[rows, :have.max()] = self.buf[
-            rows[:, None], np.minimum(cols, self.buf.shape[1] - 1)]
-        for r, h, n in zip(rows.tolist(), have.tolist(), need.tolist()):
-            new = self.gens[r].integers(0, self.n_w,
-                                        size=max(n - h, self.chunk))
-            self.buf[r, h:h + len(new)] = new
-            self.end[r] = h + len(new)
-        self.ptr[rows] = 0
-
-
-class RowSubset:
-    """Some rows of a RowDraws, renumbered from 0; draws go to the base."""
-
-    def __init__(self, base: RowDraws, rows: np.ndarray):
-        self.base, self.rows = base, rows
-
-    def peek(self, rows: np.ndarray, need: np.ndarray) -> np.ndarray:
-        return self.base.peek(self.rows[rows], need)
-
-    def advance(self, rows, counts):
-        self.base.advance(self.rows[rows], counts)
-
-
-def _draws(rng, n_w: int):
-    """A draw source: `rng` itself, or a one-row RowDraws over a Generator."""
+def _keys(rng) -> np.ndarray:
+    """One uint64 key per row: a `Generator`'s next raw word, or `rng`."""
     if isinstance(rng, np.random.Generator):
-        return RowDraws([rng], n_w)
+        return np.array([rng.bit_generator.random_raw()], np.uint64)
     return rng
 
 
-def _has_duplicate(genes: np.ndarray) -> np.ndarray:
-    """Whether each gene string (the last axis) repeats a value."""
-    ranked = np.sort(genes, axis=-1)
-    return (ranked[..., 1:] == ranked[..., :-1]).any(axis=-1)
+def _draws(rng, op: int, generation: int, n_w: int):
+    """draws(row, string, position, try), int64 index arrays: each address's
+    window, the splitmix64 finalizer of the row's key plus each field times
+    its Weyl step (mod 2^64), mod n_w."""
+    keys = _keys(rng)
+    offset = np.uint64((op * _STEPS[0] + generation * _STEPS[1]) % 2 ** 64)
+
+    def draws(r, s, q, t):
+        z = keys[r] + offset
+        z += s.view(np.uint64) * _STRING
+        z += q.view(np.uint64) * _POSITION
+        z += t.view(np.uint64) * _TRY
+        z ^= z >> _SHIFT1
+        z *= _MUL1
+        z ^= z >> _SHIFT2
+        z *= _MUL2
+        z ^= z >> _SHIFT3
+        z %= np.uint64(n_w)
+        return z.view(np.int64)
+    return draws
 
 
-def _redraw(genes: np.ndarray, mask: np.ndarray, draws):
-    """In place: each masked position takes its row's next draw that is not
-    a current gene of its string (its own old value included).
-
-    `genes` and `mask` are (rows, strings, n_c). A row's masked positions
-    draw string by string, each string in position order. While more than
-    WALK_ROWS rows have points left, each pass tests up to n_c of a row's
-    remaining points against the draws they would use if none were
-    refused, keeps those before the first refusal, uses up the refused
-    draw, and leaves the rest for the next pass. The last rows walk their
-    draws one by one.
+def _fill(genes: np.ndarray, todo: np.ndarray, old: np.ndarray, draws):
+    """In place: each `todo` position of `genes` (n_c,), (rows, n_c) or
+    (rows, strings, n_c), which must reshape to one string a row as a view,
+    takes `draws` at tries 0, 1, ... until its value is in neither the
+    genes before it nor `old` at it or after it; a spare exists when
+    n_w > n_c. A value depends on the genes before it, so each pass moves
+    only a string's first clash on.
     """
-    m, n = genes.shape[1:]
-    rows = mask.reshape(len(mask), -1).any(axis=1).nonzero()[0]
-    mask = mask[rows]
-    while len(rows) > WALK_ROWS:
-        cur = genes[rows]
-        ri = np.arange(len(rows))[:, None]
-        before = mask.reshape(len(rows), -1).cumsum(axis=1, dtype=np.int32)
-        count = before[:, -1]
-        left = np.minimum(count, n)
-        v = draws.peek(rows, left)
-        t = np.arange(v.shape[1])
-        # rank[q] = t: the t-th draw of this pass goes to position q
-        # (rank is the width for a position no draw goes to); draw t goes
-        # to string[:, t], after the points of the strings before it
-        rank = np.where(mask & (before <= left[:, None]).reshape(mask.shape),
-                        before.reshape(mask.shape) - 1, v.shape[1])
-        string = np.minimum((before.reshape(mask.shape)[:, None, :, -1]
-                             <= t[:, None]).sum(axis=2), m - 1)
-        # draw t is refused if it equals a gene of its string not yet
-        # replaced (rank >= t), or an earlier draw of its string
-        clash = ((cur[ri, string] == v[:, :, None])
-                 & (rank[ri, string] >= t[:, None])).any(axis=2)
-        clash |= ((v[:, :, None] == v[:, None, :])
-                  & (string[:, :, None] == string[:, None, :])
-                  & (t[:, None] > t)).any(axis=2)
-        clash &= t < left[:, None]
-        refused = clash.any(axis=1)
-        taken = np.where(refused, clash.argmax(axis=1), left)
-        put = rank < taken[:, None, None]
-        cur[put] = v[put.nonzero()[0], rank[put]]
-        genes[rows] = cur
-        draws.advance(rows, taken + refused)
-        keep = refused | (count > taken)
-        rows, mask = rows[keep], (mask & ~put)[keep]
-    for r, points in zip(rows.tolist(), mask):
-        genes[r] = _walk(genes[r], points, draws, r)
-
-
-def _walk(genes: np.ndarray, mask: np.ndarray, draws, row: int) -> list:
-    """One row of `_redraw`, draw by draw; returns the new genes."""
-    out = genes.tolist()
-    held = [set(g) for g in out]
-    strings, points = mask.nonzero()
-    vals, used = draws.peek_row(row, len(strings)), 0
-    for k, (s, q) in enumerate(zip(strings.tolist(), points.tolist())):
-        while True:
-            if used == len(vals):
-                # peek no further than the points left are sure to use
-                draws.advance(row, used)
-                vals, used = draws.peek_row(row, len(strings) - k), 0
-            value = vals[used]
-            used += 1
-            if value not in held[s]:
-                break
-        held[s].discard(out[s][q])
-        held[s].add(value)
-        out[s][q] = value
-    draws.advance(row, used)
-    return out
-
-
-def _repair(genes: np.ndarray, draws):
-    """In place: left to right, a gene equal to an earlier one is redrawn
-    until it differs from every gene before it. `genes` is (rows, n_c)."""
+    strings = genes.shape[1] if genes.ndim == 3 else 1
+    genes, todo, old = [a.reshape(-1, a.shape[-1]) for a in (genes, todo, old)]
+    i, q = todo.nonzero()   # i: row * strings + string
+    if not len(q):
+        return
+    genes[i, q] = draws(*divmod(i, strings), q, np.zeros(len(q), np.int64))
+    tries = np.zeros(genes.shape, np.int64)
     pos = np.arange(genes.shape[1])
-    earlier = pos[:, None] > pos   # [k, q]: q < k
-    rows = np.flatnonzero(_has_duplicate(genes))
-    while len(rows):
-        cur = genes[rows]
-        k = ((cur[:, :, None] == cur[:, None, :]) & earlier).any(axis=2)
-        k = k.argmax(axis=1)   # the first gene equal to an earlier one
-        v = draws.peek(rows, np.ones(len(rows), np.intp))[:, 0]
-        draws.advance(rows, 1)
-        ok = ~((cur == v[:, None]) & earlier[k]).any(axis=1)
-        genes[rows[ok], k[ok]] = v[ok]
-        rows = rows[_has_duplicate(genes[rows])]
+    earlier = np.greater.outer(pos, pos)   # [q, j]: j < q
+    i, g, o, m = np.arange(len(genes)), genes, old, todo   # every string
+    while True:
+        seen = np.where(earlier, g[:, None, :] == g[:, :, None],
+                        o[:, None, :] == g[:, :, None])   # [string, q, j]
+        clash = m & np.logical_or.reduce(seen, axis=2)
+        bad = np.logical_or.reduce(clash, axis=1)
+        if not bad.any():
+            return
+        i, q = i[bad], clash[bad].argmax(axis=1)   # each string's first clash
+        tries[i, q] += 1
+        genes[i, q] = draws(*divmod(i, strings), q, tries[i, q])
+        g, o, m = genes[i], old[i], todo[i]
 
 
 def init_population(cache: DistanceCache, p: GaParams, rng):
-    """n_p random chromosomes with distinct genes each, drawn chromosome
-    by chromosome, gene by gene.
+    """n_p random chromosomes with distinct genes each.
 
     With a `Generator` (a one-reference cache) this is a list of
-    Chromosome. With `RowDraws`, one row per cache row, it is the
+    Chromosome. With a key array, one key per cache row, it is the
     (rows, n_p, n_c) arrays of genes and distances.
     """
     n_w = cache.n_w
     if p.n_c > n_w:
         raise ValueError(f"gene length {p.n_c} exceeds window count {n_w}")
-    draws = _draws(rng, n_w)
-    rows = np.arange(len(draws))
-    genes = np.full((len(draws), p.n_p, p.n_c), -1, np.int64)
+    keys = _keys(rng)
+    draws = _draws(keys, INIT, 0, n_w)
+    genes = np.full((len(keys), p.n_p, p.n_c), -1, np.int64)
     dists = np.empty(genes.shape)
-    fill = np.ones((len(draws), 1, p.n_c), bool)
-    for c in range(p.n_p):
-        _redraw(genes[:, c:c + 1], fill, draws)
-        dists[:, c] = cache.lookup(genes[:, c], rows)
-    if draws is rng:
+    empty = genes[:, :1].copy()
+    for c in range(p.n_p):   # a chromosome at a time keeps work arrays small
+        _fill(genes[:, c:c + 1], empty < 0, empty,
+              lambda r, s, q, t, c=c: draws(r, s + c, q, t))
+        dists[:, c] = cache.lookup(genes[:, c], np.arange(len(keys)))
+    if keys is rng:
         return genes, dists
     return [Chromosome(g, d, _mean(d)) for g, d in zip(genes[0], dists[0])]
 
@@ -398,23 +280,22 @@ def select_parents(population):
     return [population[i] for i in order.tolist()]
 
 
-def crossover(pa, pb, p: GaParams, rng, n_w: int) -> np.ndarray:
+def crossover(pa, pb, p: GaParams, rng, n_w: int,
+              generation: int = 0) -> np.ndarray:
     """Double-point crossover: positions c_p1..c_p2 come from parent b.
 
-    Parents are Chromosome or gene arrays of shape (n_c,) or (rows, n_c).
-    Duplicates introduced by the swap are repaired left to right with
-    fresh uniform draws until all genes are distinct. Parents are left
-    unmodified.
+    Parents are Chromosome or gene arrays of shape (n_c,), (rows, n_c) or
+    (rows, strings, n_c); `rng` is a `Generator` or one key per row. Each
+    gene equal to an earlier one is refilled by `_fill`, so all genes are
+    distinct. Parents are left unmodified.
     """
-    a = getattr(pa, "genes", pa)
-    child = _swap(a, getattr(pb, "genes", pb), p)
-    _repair(child.reshape(-1, p.n_c), _draws(rng, n_w))
-    return child
-
-
-def _swap(a, b, p: GaParams) -> np.ndarray:
-    child = np.array(a, dtype=np.int64)
-    child[..., p.c_p1:p.c_p2 + 1] = np.asarray(b)[..., p.c_p1:p.c_p2 + 1]
+    child = np.array(getattr(pa, "genes", pa), dtype=np.int64)
+    seg = slice(p.c_p1, p.c_p2 + 1)
+    child[..., seg] = np.asarray(getattr(pb, "genes", pb))[..., seg]
+    # a gene repeats an earlier one when its first equal is before it
+    repeat = ((child[..., :, None] == child[..., None, :]).argmax(axis=-1)
+              < np.arange(p.n_c))
+    _fill(child, repeat, child.copy(), _draws(rng, REPAIR, generation, n_w))
     return child
 
 
@@ -425,28 +306,23 @@ def mutation_mask(dists: np.ndarray, l2_t: float) -> np.ndarray:
     none is, the single farthest gene (smallest index on ties) is.
     """
     over = dists >= l2_t
-    flat = over.reshape(-1, over.shape[-1])
-    none = np.flatnonzero(~flat.any(axis=1))
-    if len(none):
-        flat[none, dists.reshape(flat.shape)[none].argmax(axis=1)] = True
-    return over
+    far = dists.argmax(axis=-1)[..., None] == np.arange(dists.shape[-1])
+    return over | (far & ~np.logical_or.reduce(over, axis=-1, keepdims=True))
 
 
-def mutate(genes: np.ndarray, mask: np.ndarray, rng, n_w: int) -> np.ndarray:
+def mutate(genes: np.ndarray, mask: np.ndarray, rng, n_w: int,
+           generation: int = 0) -> np.ndarray:
     """Redraw each masked gene to a fresh value, keeping all genes distinct.
 
     `genes` is one string (n_c,), one per row (rows, n_c), or several per
-    row (rows, strings, n_c), which a row mutates one after another. Only
-    masked positions change; each new value avoids every current gene of
-    its string (including the old value, so a masked gene always
-    changes). When no spare values exist the genes are left alone.
+    row (rows, strings, n_c); `rng` is a `Generator` or one key per row.
+    Only masked positions change, by `_fill`, so a masked gene always
+    changes. When no spare values exist the genes are left alone.
     """
+    draws = _draws(rng, MUTATE, generation, n_w)
     out = np.array(genes, dtype=np.int64)
     if n_w > out.shape[-1]:
-        rows = out.reshape((-1,) + out.shape[1:] if out.ndim == 3
-                           else (-1, 1, out.shape[-1]))
-        _redraw(rows, np.asarray(mask, bool).reshape(rows.shape),
-                _draws(rng, n_w))
+        _fill(out, np.asarray(mask, bool), np.asarray(genes), draws)
     return out
 
 
@@ -464,7 +340,7 @@ def update_best_set(best: BestSet, population, l2_t: float,
     """
     if population:
         dists = np.concatenate([c.dists for c in population])
-        near = dists < l2_t
+        near = passes_gate(dists, l2_t)
         if len(best) == n_c:
             # a full archive admits nothing beyond its farthest member
             near &= dists <= best.dists[-1]
@@ -519,96 +395,66 @@ def search_block(coeffs: np.ndarray, refs, p: GaParams,
     """Run the GA for the reference windows `refs` in lockstep; one
     GaSearch per reference, in order.
 
-    Each row runs exactly the generations it would run alone, from its
-    own `ref_stream`. `record` keeps the per-generation trace records.
+    Each row runs exactly the generations it would run alone, keyed by
+    its own `ref_stream`. `record` keeps the per-generation trace records.
     `live` folds each generation's population, before and after mutation,
     through `update_best_set`, as a lone run's archive is kept.
     """
     cache = DistanceCache(coeffs, refs)
     n_w, n_c, half = cache.n_w, p.n_c, p.n_p // 2
-    draws = RowDraws([ref_stream(p.seed, r) for r in cache.refs.tolist()],
-                     n_w, DRAW_CHUNK)
-    genes, dists = init_population(cache, p, draws)
-    fit = _mean(dists)
-    del dists
-    archives = [BestSet(r) for r in cache.refs.tolist()]
+    keys = np.concatenate([_keys(ref_stream(p.seed, r))
+                           for r in cache.refs.tolist()])
     rows = np.arange(len(cache.refs))   # the block rows still running
+    cache.lookup(cache.refs[:, None], rows)   # each reference itself first
+    genes, dists = init_population(cache, p, keys)
+    fit = _mean(dists)
+    searches = [GaSearch(cache, i, BestSet(r))
+                for i, r in enumerate(cache.refs.tolist())]
     if live:
-        _fold(archives, cache, rows, genes, fit, genes[:, :0], p)
-    log = []
+        _fold(searches, rows, genes, fit, genes[:, :0], p)
     mates = np.roll(np.arange(half), -1)
     last = p.g_max * p.max_rounds
-    j = np.arange(half)
     for generation in range(1, last + 1):
         ar = np.arange(len(rows))[:, None]
         order = select_parents(fit)
         genes[:, :half] = genes[ar, order]
         fit[:, :half] = fit[ar, order]
-        kids = _swap(genes[:, :half], genes[:, mates], p)
-        # a row makes its children in turn, and a crossover repair draws
-        # after the mutations of the children before it; so the children
-        # are made in runs: repair each row's next child if it needs it,
-        # then mutate it and the children after it, up to the next child
-        # that needs a repair
-        dirty = _has_duplicate(kids)
-        turn = np.zeros(len(rows), np.intp)   # each row's next child
-        while True:
-            if dirty.any():
-                due = dirty[ar[:, 0], np.minimum(turn, half - 1)].nonzero()[0]
-                at = turn[due]
-                kids[due, at] = crossover(genes[due, at],
-                                          genes[due, mates[at]], p,
-                                          draws.take(due), n_w)
-                dirty[due, at] = False
-            stop = np.where(dirty.any(axis=1), dirty.argmax(axis=1), half)
-            run = (j >= turn[:, None]) & (j < stop[:, None])
-            at = rows[run.nonzero()[0]]
-            mask = np.zeros(kids.shape, bool)
-            mask[run] = mutation_mask(cache.lookup(kids[run], at), p.l2_t)
-            made = mutate(kids, mask, draws, n_w)[run]
-            genes[:, half:][run] = made
-            fit[:, half:][run] = _mean(cache.lookup(made, at))
-            if (stop == half).all():
-                break
-            turn = stop
+        kids = crossover(genes[:, :half], genes[:, mates], p, keys, n_w,
+                         generation)
+        mask = mutation_mask(cache.lookup(kids, rows), p.l2_t)
+        genes[:, half:] = mutate(kids, mask, keys, n_w, generation)
+        fit[:, half:] = _mean(cache.lookup(genes[:, half:], rows))
         if live:
-            _fold(archives, cache, rows, genes, fit, kids, p)
-        size = np.minimum((cache.values < p.l2_t).sum(axis=1)[rows], n_c)
-        if record:
-            log.append((rows, fit.min(axis=1), size))
+            _fold(searches, rows, genes, fit, kids, p)
         done = cache.evaluations[rows] >= n_w
-        if generation % p.g_max == 0:
-            done |= (size == n_c) | (generation == last)
+        end = generation % p.g_max == 0   # a round's last generation
+        if record or end:
+            size = np.minimum(np.count_nonzero(
+                passes_gate(cache.values[rows], p.l2_t), axis=1), n_c)
+            done |= end & ((size == n_c) | (generation == last))
+        if record:
+            for r, f, z in zip(rows.tolist(), fit.min(axis=1).tolist(),
+                               size.tolist()):
+                searches[r].fitness.append(f)
+                searches[r].archive_sizes.append(z)
         if done.any():
-            going = ~done
-            rows, genes, fit = rows[going], genes[going], fit[going]
-            draws.keep(going)
+            keep = ~done
+            rows, genes, fit, keys = (a[keep] for a in (rows, genes, fit, keys))
             if not len(rows):
                 break
-
-    records = [([], [])] * len(cache.refs)
-    if record and log:
-        ids = np.concatenate([entry[0] for entry in log])
-        order = np.argsort(ids, kind="stable")
-        cuts = np.cumsum(np.bincount(ids, minlength=len(cache.refs)))[:-1]
-        fits = np.split(np.concatenate([e[1] for e in log])[order], cuts)
-        sizes = np.split(np.concatenate([e[2] for e in log])[order], cuts)
-        records = [(f.tolist(), s.tolist()) for f, s in zip(fits, sizes)]
-    return [GaSearch(cache, i, archives[i], *records[i])
-            for i in range(len(cache.refs))]
+    return searches
 
 
-def _fold(archives, cache, rows, genes, fit, kids, p):
+def _fold(searches, rows, genes, fit, kids, p):
     """Fold each row's population, then its children before mutation,
     into its archive; every distance is already priced."""
     for a, r in enumerate(rows.tolist()):
-        priced = cache.values[r]
-        pop = [Chromosome(g, d, f) for g, d, f in
-               zip(genes[a], priced[genes[a]], fit[a].tolist())]
-        dists = priced[kids[a]]
-        pop += [Chromosome(g, d, f)
-                for g, d, f in zip(kids[a], dists, _mean(dists).tolist())]
-        archives[r] = update_best_set(archives[r], pop, p.l2_t, p.n_c)
+        both = np.concatenate([genes[a], kids[a]])
+        dists = searches[r].cache.values[r, both]
+        fits = np.concatenate([fit[a], _mean(dists[len(genes[a]):])])
+        pop = list(map(Chromosome, both, dists, fits.tolist()))
+        searches[r].archive = update_best_set(searches[r].archive, pop,
+                                              p.l2_t, p.n_c)
 
 
 def ga_select(ref_idx: int, coeffs: np.ndarray, p: GaParams,
@@ -636,7 +482,7 @@ def ga_select(ref_idx: int, coeffs: np.ndarray, p: GaParams,
                 zip(search.fitness, search.archive_sizes), 1):
             trace(generation, fit, size)
     idx, dst = search.cache.evaluated(search.row)
-    gate = dst < p.l2_t
+    gate = passes_gate(dst, p.l2_t)
     best = update_best_set(search.archive,
                            [Chromosome(idx[gate], dst[gate], np.nan)],
                            p.l2_t, p.n_c)

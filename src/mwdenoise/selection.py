@@ -67,10 +67,6 @@ class ClosestSet:
     def gated_indices(self) -> np.ndarray:
         return self.indices[:self.gated]
 
-    @property
-    def members(self):
-        return list(zip(self.indices.tolist(), self.distances.tolist()))
-
 
 def distances_from(coeffs: np.ndarray, ref_idx,
                    candidates: np.ndarray | None = None) -> np.ndarray:
@@ -87,6 +83,12 @@ def distances_from(coeffs: np.ndarray, ref_idx,
     diff = diff - flat[ref_idx]
     diff **= 2
     return np.sqrt(np.add.reduce(diff, axis=1))
+
+
+def passes_gate(d, l2_t: float):
+    """Whether distances `d` pass the gate: strictly below l2_t, so that a
+    window is gated exactly when it is not a GA mutation point."""
+    return d < l2_t
 
 
 def rank_ascending(indices: np.ndarray, distances: np.ndarray) -> np.ndarray:
@@ -114,7 +116,7 @@ def exhaustive_select(ref_idx: int, coeffs: np.ndarray,
         keep = cand != ref_idx
         cand, dists = cand[keep], dists[keep]
         evaluations = n_w - 1
-    gate = dists <= params.l2_t
+    gate = passes_gate(dists, params.l2_t)
     cand, dists = cand[gate], dists[gate]
     order = rank_ascending(cand, dists)[:params.n_c]
     return ClosestSet(ref_idx, cand[order], dists[order], evaluations)

@@ -115,7 +115,8 @@ class TestDenoise:
             assert line in out.splitlines()
 
     @pytest.mark.parametrize("bad", [["--threshold-scale", "inf"],
-                                     ["--cp2", "16"], ["--l2t", "0"]])
+                                     ["--cp2", "16"], ["--l2t", "0"],
+                                     ["--seed", "-1"]])
     def test_bad_setting_rejected(self, noisy_pgm, tmp_path, capsys, bad):
         out = tmp_path / "x.pgm"
         code = main(["denoise", str(noisy_pgm), str(out), "--method", "ga",

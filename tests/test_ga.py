@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 import mwdenoise.ga as ga_mod
+import mwdenoise.pipeline as pipeline_mod
 from mwdenoise import ghm
 from mwdenoise.ga import (BestSet, Chromosome, DistanceCache, GaParams,
-                          RowDraws, crossover, fitness, ga_select,
-                          init_population, mutate, mutation_mask, ref_blocks,
-                          ref_stream, search_block, select_parents,
-                          update_best_set)
+                          crossover, fitness, ga_select, init_population,
+                          mutate, mutation_mask, ref_blocks, ref_stream,
+                          search_block, select_parents, update_best_set)
 from mwdenoise.image_io import add_awgn
 from mwdenoise.phantom import ct_phantom
 from mwdenoise.pipeline import DenoiseConfig, denoise_image
-from mwdenoise.selection import (SelectionParams, exhaustive_select,
-                                 noise_gate)
+from mwdenoise.selection import (SelectionParams, distances_from,
+                                 exhaustive_select, noise_gate)
 from mwdenoise.windows import build_grid, extract_windows
 
 BIG = 1e12
@@ -229,6 +229,54 @@ class TestMutate:
         assert np.array_equal(out, genes)
 
 
+def fill_loop(genes, todo, old, draws):
+    """`_fill`'s rule one position at a time, in string and position order."""
+    out = genes.copy()
+    for r, s, q in np.ndindex(genes.shape):
+        t = 0
+        while todo[r, s, q]:
+            v = int(draws(*(np.array([i]) for i in (r, s, q, t)))[0])
+            if v not in out[r, s, :q] and v not in old[r, s, q:]:
+                out[r, s, q] = v
+                break
+            t += 1
+    return out
+
+
+class TestFill:
+    """The vectorised fill against the plain loop of its rule, on small
+    window counts where draws clash often."""
+
+    def test_mutate_matches_loop(self):
+        rng = np.random.default_rng(3)
+        keys = rng.integers(0, 2 ** 63, 6).astype(np.uint64)
+        for n_w in (9, 12, 40):
+            genes = np.stack([[rng.permutation(n_w)[:8] for _ in range(4)]
+                              for _ in range(6)])
+            mask = rng.uniform(size=genes.shape) < 0.6
+            want = fill_loop(genes, mask, genes,
+                             ga_mod._draws(keys, ga_mod.MUTATE, 3, n_w))
+            assert np.array_equal(mutate(genes, mask, keys, n_w, 3), want)
+
+    def test_repair_and_init_match_loop(self):
+        rng = np.random.default_rng(4)
+        keys = rng.integers(0, 2 ** 63, 5).astype(np.uint64)
+        p = GaParams(n_c=8, c_p1=2, c_p2=5, l2_t=BIG)
+        pa, pb = rng.integers(0, 10, (2, 5, 3, 8))
+        child = np.array(pa)
+        child[..., 2:6] = pb[..., 2:6]
+        repeat = np.array([[[v in c[:q] for q, v in enumerate(c.tolist())]
+                            for c in row] for row in child])
+        want = fill_loop(child, repeat, child,
+                         ga_mod._draws(keys, ga_mod.REPAIR, 1, 10))
+        assert np.array_equal(crossover(pa, pb, p, keys, 10, 1), want)
+        cache = DistanceCache(np.zeros((8, 2, 2)), np.zeros(5, int))
+        genes, _ = init_population(cache, p, keys)
+        empty = np.full(genes.shape, -1)
+        assert np.array_equal(genes, fill_loop(
+            empty, empty < 0, empty, ga_mod._draws(keys, ga_mod.INIT, 0, 8)))
+
+
 class TestUpdateBestSet:
     def test_nothing_passes_gate(self):
         best = BestSet(0, np.array([3], np.int64), np.array([2.0]))
@@ -368,30 +416,30 @@ def _sha(*parts) -> str:
 GATE15 = noise_gate(15.0, 8)
 
 # (name, ref, window count or None for all, GaParams kwargs, sha256 of the
-# result). The digests were recorded before the GA hot path was rewritten
-# for speed, which had to keep them; a change to the random stream, the
-# fitness bits or the archive merge shows up here.
+# result). The digests were recorded when the draws became addressed by a
+# counter; a change to the draws, the fill rule, the fitness bits or the
+# archive merge shows up here.
 GOLDEN_SELECT = [
     ("short-genes-s11", 3, None,
      dict(n_c=4, c_p1=1, c_p2=2, l2_t=BIG, seed=11),
-     "c9691745480fde029acad84f4e25e54c9326d847d5e82e2be8a77c7412dedb53"),
+     "ac9b93fd7dbfb927d74e81d86edfe801397ccfc4caea7b906aab7a15a7a049d8"),
     ("short-genes-s2", 120, None,
      dict(n_c=4, c_p1=1, c_p2=2, l2_t=BIG, seed=2),
-     "1d715aa5396d292f8ff3905c07674ed2094adb2af34070db9f8bcb318e746de9"),
+     "1568db6576f600eae3c0b78bb49382d44c307deac421932dd8abc839a2901ee5"),
     ("noise-gate-ref0", 0, None, dict(l2_t=GATE15, seed=0),
-     "f3217e703f38ca41f6f5fd3c5ed0a83e63b9dd942bce96d449e05c263927a5da"),
+     "4520247b328803fea4acd288304653562802928cc4f144a44609899c9fac091f"),
     ("noise-gate-ref112", 112, None, dict(l2_t=GATE15, seed=5),
      "4d6e9d91c335c04a0b4ac81d01d227ed8a82532e78eb35f0e471eb9838219e66"),
     ("noise-gate-ref224", 224, None, dict(l2_t=GATE15, seed=9),
      "f2ee907c35efc5f9eea2b82d638814d969ca2a5c6d6b6aeafaf2f9319667de5b"),
     ("fallback", 0, None,
      dict(n_c=4, c_p1=1, c_p2=2, l2_t=1e-9, max_rounds=1, g_max=5, seed=0),
-     "4830692c121ff652bcdb6fcceb037979328690fa537f30c1099541f1ccfda64a"),
+     "32e0e3d6bd5b1a2ff6c6e2493da525a4b5af2308688f67fc778622a0810a4539"),
     ("fallback-partial", 14, None,
      dict(l2_t=0.8 * GATE15, max_rounds=1, g_max=5, seed=1),
-     "84892aa91f60a49cce2e20408beabe2aa775e3d77ca2ee013eb6b68b3f30832a"),
+     "c9f4c3be099b65fa8a38e6a6a80f481b749d1fa4fd65627fda8b82c3259bea7b"),
     ("wide-gate", 77, None, dict(l2_t=3.0 * GATE15, seed=7),
-     "79c347d237801ee65a2e8feb95beb85593524a628481c55887cf51144b029c0a"),
+     "13e3fb5a4779664f26f4166c19cee1d9f2f07ea8fbf36f61aa8569673f188f2d"),
     ("saturated", 5, 24, dict(n_c=8, c_p1=2, c_p2=5, l2_t=BIG, seed=3),
      "f527c2903cb895bd065b9a547f7e0fe8d5be076b5fc8960cbd71fde41ce33399"),
     ("all-windows", 2, 6, dict(n_c=6, c_p1=1, c_p2=3, l2_t=BIG, seed=4),
@@ -410,7 +458,8 @@ def select_digest(ref, n_w, kwargs, coeffs):
 def operator_stream():
     """Child genes and final generator state of a fixed sequence of
     crossover and mutate calls over a small window count, where repairs
-    and redraws collide often."""
+    and redraws collide often; each call keys its draws with one raw word
+    of the generator."""
     rng = ref_stream(21, 4)
     n_w = 40
     start = np.random.default_rng(0)
@@ -427,11 +476,11 @@ def operator_stream():
 
 
 GOLDEN_OPERATORS = (
-    "c85f1fa6076392430adec8e5ff77e333ce46a51c3533b05872481bba32388b05",
-    96299510673201268029424270367721662457)
+    "724e0026eefe45d7944075ff9fc537b597264e090c5f99d5a1dfa39b58c22cc6",
+    24466827854800261024913483148469727496)
 GOLDEN_DENOISE = (
-    "97eded68ebcd6d9c6efcf0a3fe537d9b7df9d182a01dc674c2f477b4a9ac5020",
-    50477)
+    "ef0b1be5f6595d96f9612dd97c560b34610ec8be1c52fa3fecefe609d89cabfe",
+    50452)
 
 
 class TestGoldenStream:
@@ -449,12 +498,22 @@ class TestGoldenStream:
         children, state = operator_stream()
         assert (_sha(children), state["state"]) == GOLDEN_OPERATORS
 
-    def test_denoise_digest(self):
+    def test_denoise_digest(self, monkeypatch):
+        # every closest set also holds its reference, as the scan's do
+        found = []
+
+        def spy(*args, **kwargs):
+            found.append(ga_select(*args, **kwargs))
+            return found[-1]
+
+        monkeypatch.setattr(pipeline_mod, "ga_select", spy)
         noisy = add_awgn(ct_phantom(64), 15, 0)
         cfg = DenoiseConfig(m=8, s_size=4, engine="ga", sigma=15.0,
                             threshold_scale=0.25, seed=2)
         out, stats = denoise_image(noisy, cfg)
         assert (_sha(out), stats.distance_evals) == GOLDEN_DENOISE
+        assert [s.ref_idx for s in found] == list(range(225))
+        assert all(s.ref_idx in s.gated_indices for s in found)
 
 
 def _same_select(a, b):
@@ -465,8 +524,9 @@ def _same_select(a, b):
 
 
 class TestRowBatched:
-    """The row-batched operators against their one-row case, row by row:
-    each row draws from its own stream, as a lone run would."""
+    """The row-batched operators against their one-row calls, row by row:
+    a block row keyed by the first raw word of a reference's stream draws
+    what a lone call given that stream draws."""
 
     N_W = 60
 
@@ -474,44 +534,51 @@ class TestRowBatched:
         rng = np.random.default_rng(seed)
         return np.stack([rng.permutation(self.N_W)[:16] for _ in range(rows)])
 
+    @staticmethod
+    def keys(seed, rows):
+        return np.array([ref_stream(seed, r).bit_generator.random_raw()
+                         for r in range(rows)], np.uint64)
+
     def test_mutate_rows(self):
         rng = np.random.default_rng(1)
         genes = self.strings(30)
         mask = rng.uniform(size=genes.shape) < 0.4
-        draws = RowDraws([ref_stream(3, r) for r in range(30)], self.N_W)
-        batched = mutate(genes, mask, draws, self.N_W)
+        batched = mutate(genes, mask, self.keys(3, 30), self.N_W)
         for r in range(30):
-            alone = ref_stream(3, r)
-            assert np.array_equal(batched[r],
-                                  mutate(genes[r], mask[r], alone, self.N_W))
-            assert (draws.gens[r].bit_generator.state
-                    == alone.bit_generator.state)
+            alone = mutate(genes[r], mask[r], ref_stream(3, r), self.N_W)
+            assert np.array_equal(batched[r], alone)
 
-    def test_mutate_strings_in_turn(self):
-        # several strings of one row draw one after another
+    def test_mutate_strings_of_a_row(self):
         rng = np.random.default_rng(2)
         genes = self.strings(15).reshape(3, 5, 16)
         mask = rng.uniform(size=genes.shape) < 0.5
-        draws = RowDraws([ref_stream(4, r) for r in range(3)], self.N_W)
-        batched = mutate(genes, mask, draws, self.N_W)
+        keys = self.keys(4, 3)
+        batched = mutate(genes, mask, keys, self.N_W, generation=7)
         for r in range(3):
-            alone = ref_stream(4, r)
-            for s in range(5):
-                assert np.array_equal(
-                    batched[r, s],
-                    mutate(genes[r, s], mask[r, s], alone, self.N_W))
+            alone = mutate(genes[r:r + 1], mask[r:r + 1], keys[r:r + 1],
+                           self.N_W, generation=7)
+            assert np.array_equal(batched[r], alone[0])
 
     def test_crossover_rows(self):
         p = GaParams(l2_t=BIG)
         pa, pb = self.strings(40, 5), self.strings(40, 6)
-        draws = RowDraws([ref_stream(7, r) for r in range(40)], self.N_W)
-        batched = crossover(pa, pb, p, draws, self.N_W)
+        batched = crossover(pa, pb, p, self.keys(7, 40), self.N_W)
         for r in range(40):
-            alone = ref_stream(7, r)
-            assert np.array_equal(batched[r],
-                                  crossover(pa[r], pb[r], p, alone, self.N_W))
-            assert (draws.gens[r].bit_generator.state
-                    == alone.bit_generator.state)
+            alone = crossover(pa[r], pb[r], p, ref_stream(7, r), self.N_W)
+            assert np.array_equal(batched[r], alone)
+            assert len(set(batched[r].tolist())) == 16
+
+    def test_init_population_rows(self, coeffs):
+        p = GaParams(n_c=4, c_p1=1, c_p2=2, l2_t=BIG)
+        refs = [0, 17, 140]
+        genes, dists = init_population(DistanceCache(coeffs, refs), p,
+                                       self.keys(5, 3))
+        for r, ref in enumerate(refs):
+            alone = init_population(DistanceCache(coeffs, ref), p,
+                                    ref_stream(5, r))
+            assert np.array_equal(genes[r], [c.genes for c in alone])
+            assert dists[r].tobytes() == np.stack(
+                [c.dists for c in alone]).tobytes()
 
     def test_mask_and_parents_rows(self):
         rng = np.random.default_rng(8)
@@ -590,3 +657,39 @@ class TestBlockSearch:
         assert len(sizes) >= 3 and len(set(sizes)) > 1
         out, stats = denoise_image(noisy, cfg)
         assert (_sha(out), stats.distance_evals) == GOLDEN_DENOISE
+
+
+class TestParity:
+    def test_full_search_equals_scan(self):
+        # a GA run that priced every window gates exactly the scan's set,
+        # with the same distance bits; half the images repeat one 8x8
+        # block, so windows tie
+        rng = np.random.default_rng(12)
+        F = ghm.build_ghm_matrix(8)
+        checked = 0
+        for case in range(40):
+            size = int(rng.integers(16, 29))
+            if case % 2:
+                block = rng.integers(0, 256, (8, 8))
+                img = np.tile(block, (4, 4))[:size, :size].astype(np.uint8)
+            else:
+                img = rng.integers(0, 256, (size, size)).astype(np.uint8)
+            wins = extract_windows(img, build_grid(img, 8, 4))
+            coeffs = ghm.forward_all(wins, F)
+            n_w = len(coeffs)
+            d = np.concatenate([distances_from(coeffs, r) for r in range(n_w)])
+            d = d[d > 0]
+            l2_t = (np.inf, float(np.median(d)),
+                    max(float(np.quantile(d, 0.05)), 1e-9))[case % 3]
+            n_c = int(rng.integers(3, min(8, n_w) + 1))
+            p = GaParams(n_c=n_c, c_p1=1, c_p2=2, l2_t=l2_t, seed=case)
+            sp = SelectionParams(n_c=n_c, l2_t=l2_t)
+            for s in search_block(coeffs, np.arange(n_w), p):
+                if s.evaluations < n_w:
+                    continue
+                g = ga_select(s.ref_idx, coeffs, p, search=s)
+                e = exhaustive_select(s.ref_idx, coeffs, sp)
+                assert g.gated_indices.tobytes() == e.indices.tobytes()
+                assert g.distances[:g.gated].tobytes() == e.distances.tobytes()
+                checked += 1
+        assert checked >= 500

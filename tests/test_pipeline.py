@@ -219,6 +219,11 @@ class TestValidation:
             DenoiseConfig(engine="ga", include_self=False)
         DenoiseConfig(engine="exhaustive", include_self=False)
 
+    def test_negative_ga_seed_rejected(self):
+        # numpy would reject it only after the transform
+        with pytest.raises(ValueError, match="GA seed must be >= 0, got -1"):
+            DenoiseConfig(engine="ga", seed=-1)
+
     def test_ga_defaults_from_ga_params(self):
         assert DenoiseConfig().ga_params(np.inf) == GaParams()
 

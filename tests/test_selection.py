@@ -4,12 +4,13 @@ import pytest
 import mwdenoise.pipeline as pipeline_mod
 import mwdenoise.selection as selection_mod
 from mwdenoise import ghm
+from mwdenoise.ga import mutation_mask
 from mwdenoise.image_io import add_awgn
 from mwdenoise.phantom import ct_phantom
 from mwdenoise.pipeline import DenoiseConfig, denoise_image
 from mwdenoise.selection import (SelectionParams, calibrate_l2t,
                                  distances_from, exhaustive_select,
-                                 gram_shortlist, noise_gate)
+                                 gram_shortlist, noise_gate, passes_gate)
 from mwdenoise.windows import build_grid, extract_windows
 
 BIG = 1e12
@@ -82,7 +83,7 @@ def brute_force_select(ref_idx, coeffs, params):
         if j == ref_idx and not params.include_self:
             continue
         d = float(np.sqrt(((coeffs[ref_idx] - coeffs[j]) ** 2).sum()))
-        if d <= params.l2_t:
+        if d < params.l2_t:
             entries.append((d, j))
     entries.sort()
     return entries[:params.n_c]
@@ -119,6 +120,16 @@ class TestExhaustiveSelect:
     def test_bad_ref_index(self, coeffs):
         with pytest.raises(IndexError):
             exhaustive_select(len(coeffs), coeffs, SelectionParams(l2_t=BIG))
+
+    def test_gate_is_strict(self):
+        # a window at exactly l2_t fails the gate, as it is a GA mutation point
+        coeffs = np.zeros((3, 8, 8))
+        coeffs[1, 0, 0] = 3.0
+        coeffs[2, 0, 0] = 5.0
+        res = exhaustive_select(0, coeffs, SelectionParams(n_c=3, l2_t=3.0))
+        assert res.indices.tolist() == [0]
+        d = np.array([0.0, 3.0, 5.0])
+        assert np.array_equal(passes_gate(d, 3.0), ~mutation_mask(d, 3.0))
 
     def test_deterministic_tie_break(self):
         # three identical windows: ties resolve to smaller indices
