@@ -180,7 +180,7 @@ def _keys(rng) -> np.ndarray:
     return rng
 
 
-def _draws(rng, op: int, generation: int, n_w: int):
+def _draws_at(rng, op: int, generation: int, n_w: int):
     """draws(row, string, position, try), int64 index arrays: each address's
     window, the splitmix64 finalizer of the row's key plus each field times
     its Weyl step (mod 2^64), mod n_w."""
@@ -244,7 +244,7 @@ def init_population(cache: DistanceCache, p: GaParams, rng):
     if p.n_c > n_w:
         raise ValueError(f"gene length {p.n_c} exceeds window count {n_w}")
     keys = _keys(rng)
-    draws = _draws(keys, INIT, 0, n_w)
+    draws = _draws_at(keys, INIT, 0, n_w)
     genes = np.full((len(keys), p.n_p, p.n_c), -1, np.int64)
     dists = np.empty(genes.shape)
     empty = genes[:, :1].copy()
@@ -295,7 +295,7 @@ def crossover(pa, pb, p: GaParams, rng, n_w: int,
     # a gene repeats an earlier one when its first equal is before it
     repeat = ((child[..., :, None] == child[..., None, :]).argmax(axis=-1)
               < np.arange(p.n_c))
-    _fill(child, repeat, child.copy(), _draws(rng, REPAIR, generation, n_w))
+    _fill(child, repeat, child.copy(), _draws_at(rng, REPAIR, generation, n_w))
     return child
 
 
@@ -319,7 +319,7 @@ def mutate(genes: np.ndarray, mask: np.ndarray, rng, n_w: int,
     Only masked positions change, by `_fill`, so a masked gene always
     changes. When no spare values exist the genes are left alone.
     """
-    draws = _draws(rng, MUTATE, generation, n_w)
+    draws = _draws_at(rng, MUTATE, generation, n_w)
     out = np.array(genes, dtype=np.int64)
     if n_w > out.shape[-1]:
         _fill(out, np.asarray(mask, bool), np.asarray(genes), draws)
@@ -439,7 +439,8 @@ def search_block(coeffs: np.ndarray, refs, p: GaParams,
                 searches[r].archive_sizes.append(z)
         if done.any():
             keep = ~done
-            rows, genes, fit, keys = (a[keep] for a in (rows, genes, fit, keys))
+            rows, genes, fit = rows[keep], genes[keep], fit[keep]
+            keys = keys[keep]
             if not len(rows):
                 break
     return searches

@@ -255,7 +255,7 @@ class TestFill:
                               for _ in range(6)])
             mask = rng.uniform(size=genes.shape) < 0.6
             want = fill_loop(genes, mask, genes,
-                             ga_mod._draws(keys, ga_mod.MUTATE, 3, n_w))
+                             ga_mod._draws_at(keys, ga_mod.MUTATE, 3, n_w))
             assert np.array_equal(mutate(genes, mask, keys, n_w, 3), want)
 
     def test_repair_and_init_match_loop(self):
@@ -268,13 +268,13 @@ class TestFill:
         repeat = np.array([[[v in c[:q] for q, v in enumerate(c.tolist())]
                             for c in row] for row in child])
         want = fill_loop(child, repeat, child,
-                         ga_mod._draws(keys, ga_mod.REPAIR, 1, 10))
+                         ga_mod._draws_at(keys, ga_mod.REPAIR, 1, 10))
         assert np.array_equal(crossover(pa, pb, p, keys, 10, 1), want)
         cache = DistanceCache(np.zeros((8, 2, 2)), np.zeros(5, int))
         genes, _ = init_population(cache, p, keys)
         empty = np.full(genes.shape, -1)
-        assert np.array_equal(genes, fill_loop(
-            empty, empty < 0, empty, ga_mod._draws(keys, ga_mod.INIT, 0, 8)))
+        draws = ga_mod._draws_at(keys, ga_mod.INIT, 0, 8)
+        assert np.array_equal(genes, fill_loop(empty, empty < 0, empty, draws))
 
 
 class TestUpdateBestSet:
