@@ -204,7 +204,7 @@ def _draws_at(rng, op: int, generation: int, n_w: int):
 
 def _fill(genes: np.ndarray, todo: np.ndarray, old: np.ndarray, draws):
     """In place: each `todo` position of `genes` (n_c,), (rows, n_c) or
-    (rows, strings, n_c), which must reshape to one string a row as a view,
+    (rows, strings, n_c), viewable as one string per row (no copy),
     takes `draws` at tries 0, 1, ... until its value is in neither the
     genes before it nor `old` at it or after it; a spare exists when
     n_w > n_c. A value depends on the genes before it, so each pass moves
