@@ -414,8 +414,8 @@ def search_block(coeffs: np.ndarray, refs, p: GaParams,
         _fold(searches, rows, genes, fit, genes[:, :0], p)
     mates = np.roll(np.arange(half), -1)
     last = p.g_max * p.max_rounds
+    ar = rows[:, None]   # block rows, renumbered from 0 as rows leave
     for generation in range(1, last + 1):
-        ar = np.arange(len(rows))[:, None]
         order = select_parents(fit)
         genes[:, :half] = genes[ar, order]
         fit[:, :half] = fit[ar, order]
@@ -440,7 +440,7 @@ def search_block(coeffs: np.ndarray, refs, p: GaParams,
         if done.any():
             keep = ~done
             rows, genes, fit = rows[keep], genes[keep], fit[keep]
-            keys = keys[keep]
+            keys, ar = keys[keep], ar[:len(rows)]
             if not len(rows):
                 break
     return searches
