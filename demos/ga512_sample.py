@@ -1,0 +1,53 @@
+"""Time the GA search on a fixed sample of reference windows at 512x512.
+
+A full GA denoise of a 512x512 slice takes tens of seconds, too long to
+repeat when comparing two versions of the code. This runs the GA, as the
+pipeline does, for every 15th window of the paper's geometry (m=16,
+s_size=8, n_w = 3969): 264 references by default, searched in blocks of
+the row count the image's own blocks get. It prints the seconds, the
+distance evaluations and a sha256 over each closest set's index and
+distance bytes, so two runs compare both time and results:
+
+    PYTHONPATH=src python demos/ga512_sample.py [--refs N]
+"""
+
+import argparse
+import hashlib
+import time
+
+import numpy as np
+
+from mwdenoise import add_awgn, ct_phantom, ga, ghm
+from mwdenoise.selection import noise_gate
+from mwdenoise.windows import build_grid, extract_windows
+
+SIGMA, M, S_SIZE = 20.0, 16, 8
+
+parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+parser.add_argument("--refs", type=int, default=264,
+                    help="sample size, 1 to 265 (default 264)")
+args = parser.parse_args()
+
+noisy = add_awgn(ct_phantom(512), SIGMA, 1)
+coeffs = ghm.forward_all(extract_windows(noisy, build_grid(noisy, M, S_SIZE)),
+                         ghm.build_ghm_matrix(M))
+sample = np.arange(0, len(coeffs), 15)
+if not 1 <= args.refs <= len(sample):
+    parser.error(f"--refs must be in 1..{len(sample)}, got {args.refs}")
+sample = sample[:args.refs]
+rows = max(len(b) for b in ga.ref_blocks(len(coeffs)))
+p = ga.GaParams(l2_t=noise_gate(SIGMA, M), seed=0)
+
+digest = hashlib.sha256()
+evaluations = 0
+start = time.perf_counter()
+for refs in np.array_split(sample, -(-len(sample) // rows)):
+    for search in ga.search_block(coeffs, refs, p):
+        found = ga.ga_select(search.ref_idx, coeffs, p, search=search)
+        digest.update(found.indices.tobytes())
+        digest.update(found.distances.tobytes())
+        evaluations += found.evaluations
+seconds = time.perf_counter() - start
+
+print(f"refs={len(sample)} block_rows={rows} seconds={seconds:.3f} "
+      f"evaluations={evaluations} sha256={digest.hexdigest()}")

@@ -10,44 +10,38 @@ best-window archive. Rounds of g_max generations repeat until the archive
 is full or the round cap is hit.
 
 The reference window is priced first, so the gated set holds it as the
-scan's does. The archive is always the n_c best, by (distance, index), of
-the gated windows (`selection.passes_gate`) evaluated so far: every
-evaluated chromosome, before and after mutation, passes through
-`update_best_set`. So a generation that prices no gated window closer than
-the archive's farthest member leaves it as it is, and the merge is
-skipped. It also means the archive can be read off the distance cache:
-folding every priced gated window into an empty archive at once gives the
-same n_c members.
+scan's does. Every evaluated chromosome, before and after mutation, passes
+through `update_best_set`, so the archive is always the n_c best, by
+(distance, index), of the gated windows (`selection.passes_gate`)
+evaluated so far. A generation that prices no gated window closer than the
+archive's farthest member leaves it as it is, so the merge is skipped, and
+the archive can be read off the distance cache.
 
 Lockstep blocks. `search_block` runs the GA for a block of reference
-windows at once. The population is a (rows, n_p, n_c) array and the
+windows at once: the population is a (rows, n_p, n_c) array and the
 distance cache a (rows, n_w) array, NaN where a window is not priced yet.
-The operators (`select_parents`, `crossover`, `mutation_mask`, `mutate`,
-`DistanceCache.lookup`) work on whole rows; a 1-D gene string drawing from
-a numpy `Generator` is their one-row case. A row leaves the block after
-the generation its lone run would have stopped at. `ga_select` turns one
-row's search into its closest set: the archive read off the cache, the
-fallback fill, and a replay of the row's trace records. Run without a
-search, `ga_select` is the one-row block, and it folds each generation's
-population through `update_best_set` as it goes.
+The operators and `DistanceCache.lookup` work on whole rows; a 1-D gene
+string drawing from a numpy `Generator` is their one-row case. A row
+leaves the block after the generation its lone run would have stopped at.
+`ga_select` turns a row's search into its closest set (the archive read
+off the cache, the fallback fill, the trace records); without a search it
+runs the one-row block, folding each generation as it goes.
 
-Draws. No draw is read from a stream: each is a pure function of its
-address, `mix(key, op, generation, string, position, try) % n_w`, a
-splitmix64-style hash (Salmon et al., "Parallel random numbers: as easy as
-1, 2, 3", SC 2011). `op` is init, repair or mutate, `string` the
-chromosome or child, and `try` counts the values a position refused. A
-row's key is the first raw word of its `ref_stream`; an operator given a
-numpy `Generator` takes one raw word from it as its key. The three
-operators fill genes by one rule (`_fill`): a position takes its next try
-until its value is in neither the genes before it nor the old genes at it
-or after it. No draw depends on another row, so a block gives each row
-exactly its lone run. `tests/test_ga.py` pins the draws with digests of
-`ga_select` results, of a run of the operators and of a GA denoise, and
-checks blocks against lone runs.
+Draws. Each draw is a pure function of its address,
+`mix(key, op, generation, string, position, try) % n_w`, a splitmix64-style
+hash (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC
+2011): `op` is init, repair or mutate, `string` the chromosome or child,
+and `try` counts the values a position refused. A row's key is the first
+raw word of its `ref_stream`; an operator given a numpy `Generator` takes
+one raw word from it. The three operators fill genes by one rule
+(`_fill`): a position takes its next try until its value is in neither
+the genes before it nor the old genes at it or after it. No draw depends
+on another row, so a block gives each row exactly its lone run;
+`tests/test_ga.py` checks that, and pins the draws with golden digests.
 
-Memory. A block holds at most GA_BLOCK_ENTRIES cache values (512 KiB), so
-blocks get shorter as n_w grows; `lookup` prices PRICE_ENTRIES
-coefficients at a time, with the scan's kernel `selection.distances_from`.
+Memory. A block holds at most GA_BLOCK_ROWS references (a 3.9 MB cache at
+512x512). `lookup` prices coefficients with the scan's kernel
+(`selection.distances_from`) and `_fill` checks genes, PRICE_ENTRIES at a time.
 """
 
 from dataclasses import dataclass, field
@@ -56,8 +50,8 @@ import numpy as np
 
 from .selection import ClosestSet, distances_from, passes_gate, rank_ascending
 
-GA_BLOCK_ENTRIES = 2 ** 16   # float64 cache values in one block (512 KiB)
-PRICE_ENTRIES = 2 ** 14      # coefficients differenced at once when pricing
+GA_BLOCK_ROWS = 128          # references per block, to share out overhead
+PRICE_ENTRIES = 2 ** 14      # coefficients priced, or genes checked, at once
 INIT, REPAIR, MUTATE = 0, 1, 2   # the `op` of a draw's address
 # splitmix64 Weyl steps and finalizer (0-d arrays apply faster than scalars)
 _STEPS = (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9,
@@ -208,29 +202,34 @@ def _fill(genes: np.ndarray, todo: np.ndarray, old: np.ndarray, draws):
     takes `draws` at tries 0, 1, ... until its value is in neither the
     genes before it nor `old` at it or after it; a spare exists when
     n_w > n_c. A value depends on the genes before it, so each pass moves
-    only a string's first clash on.
-    """
+    only a string's first clash on, and the next checks only the moved
+    strings' entries from there on, PRICE_ENTRIES genes at a time."""
     strings = genes.shape[1] if genes.ndim == 3 else 1
     genes, todo, old = [a.reshape(-1, a.shape[-1]) for a in (genes, todo, old)]
-    i, q = todo.nonzero()   # i: row * strings + string
+    i, q = todo.nonzero()   # i: row * strings + string; sorted by (i, q)
     if not len(q):
         return
-    genes[i, q] = draws(*divmod(i, strings), q, np.zeros(len(q), np.int64))
-    tries = np.zeros(genes.shape, np.int64)
+    t = np.zeros(len(q), np.int64)   # each entry's try
+    genes[i, q] = v = draws(*divmod(i, strings), q, t)   # and its value
     pos = np.arange(genes.shape[1])
-    earlier = np.greater.outer(pos, pos)   # [q, j]: j < q
-    i, g, o, m = np.arange(len(genes)), genes, old, todo   # every string
+    step = max(1, PRICE_ENTRIES // len(pos))
     while True:
-        seen = np.where(earlier, g[:, None, :] == g[:, :, None],
-                        o[:, None, :] == g[:, :, None])   # [string, q, j]
-        clash = m & np.logical_or.reduce(seen, axis=2)
-        bad = np.logical_or.reduce(clash, axis=1)
-        if not bad.any():
+        e = []   # the entries that clash, in order
+        for lo in range(0, len(q), step):
+            ii, vv = i[lo:lo + step], v[lo:lo + step, None]
+            before = pos < q[lo:lo + step, None]
+            e.append(lo + np.nonzero((genes.take(ii, 0) == vv) & before
+                                     | (old.take(ii, 0) == vv) & ~before)[0])
+        e = np.concatenate(e)
+        if not len(e):
             return
-        i, q = i[bad], clash[bad].argmax(axis=1)   # each string's first clash
-        tries[i, q] += 1
-        genes[i, q] = draws(*divmod(i, strings), q, tries[i, q])
-        g, o, m = genes[i], old[i], todo[i]
+        e = e[np.concatenate(([True], i[e[1:]] != i[e[:-1]]))]   # firsts
+        t[e] += 1
+        genes[i[e], q[e]] = v[e] = draws(*divmod(i[e], strings), q[e], t[e])
+        start = np.full(len(genes), len(pos))   # a moved string's first clash
+        start[i[e]] = q[e]
+        keep = q >= start[i]
+        i, q, t, v = i[keep], q[keep], t[keep], v[keep]
 
 
 def init_population(cache: DistanceCache, p: GaParams, rng):
@@ -292,10 +291,15 @@ def crossover(pa, pb, p: GaParams, rng, n_w: int,
     child = np.array(getattr(pa, "genes", pa), dtype=np.int64)
     seg = slice(p.c_p1, p.c_p2 + 1)
     child[..., seg] = np.asarray(getattr(pb, "genes", pb))[..., seg]
-    # a gene repeats an earlier one when its first equal is before it
-    repeat = ((child[..., :, None] == child[..., None, :]).argmax(axis=-1)
-              < np.arange(p.n_c))
-    _fill(child, repeat, child.copy(), _draws_at(rng, REPAIR, generation, n_w))
+    key = np.sort(child * p.n_c + np.arange(p.n_c), axis=-1)   # (value, q)
+    value = key // p.n_c
+    repeat = value[..., 1:] == value[..., :-1]   # follows an equal gene
+    draws = _draws_at(rng, REPAIR, generation, n_w)
+    if np.count_nonzero(repeat):
+        todo = np.zeros(child.shape, bool)
+        todo.reshape(-1, p.n_c)[repeat.reshape(-1, p.n_c - 1).nonzero()[0],
+                                key[..., 1:][repeat] % p.n_c] = True
+        _fill(child, todo, child.copy(), draws)
     return child
 
 
@@ -334,9 +338,8 @@ def update_best_set(best: BestSet, population, l2_t: float,
     of the current archive and all genes with distance strictly below l2_t;
     a retained member is never replaced by a farther one. `best` is an
     archive as this function returns it (distinct indices in that order),
-    and a window has one distance wherever it appears. When no gated gene
-    outside the archive can rank among the n_c kept, `best` itself is
-    returned.
+    and a window has one distance wherever it appears. It returns `best`
+    itself when no gated gene outside it can rank among the n_c kept.
     """
     if population:
         dists = np.concatenate([c.dists for c in population])
@@ -384,10 +387,8 @@ class GaSearch:
 
 
 def ref_blocks(n_w: int) -> list:
-    """Reference windows split into near-equal consecutive blocks, as few
-    as keep each block's cache within GA_BLOCK_ENTRIES values."""
-    count = -(-n_w // max(1, GA_BLOCK_ENTRIES // n_w))
-    return np.array_split(np.arange(n_w), count)
+    """The fewest near-equal consecutive blocks of <= GA_BLOCK_ROWS rows."""
+    return np.array_split(np.arange(n_w), -(-n_w // GA_BLOCK_ROWS))
 
 
 def search_block(coeffs: np.ndarray, refs, p: GaParams,
@@ -462,11 +463,10 @@ def ga_select(ref_idx: int, coeffs: np.ndarray, p: GaParams,
               trace=None, search: GaSearch | None = None) -> ClosestSet:
     """Run the GA for one reference window and return its closest set.
 
-    Stops early once every candidate window has been evaluated (the
-    archive can no longer change) or when the archive is full at a round
-    boundary. If the archive is still short after the round cap, the
-    remaining slots are filled with the closest windows ever evaluated
-    regardless of the threshold and the result is flagged as a fallback.
+    Stops once every candidate window has been evaluated (the archive can
+    no longer change) or the archive is full at a round boundary. If it is
+    still short after the round cap, the closest windows ever evaluated
+    fill the rest, whatever the threshold, and the result is a fallback.
 
     `search` is this reference's run from `search_block`; without it the
     GA runs here, as a one-row block whose archive is folded live. `trace`

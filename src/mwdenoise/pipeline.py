@@ -62,6 +62,8 @@ class DenoiseConfig:
                 raise ValueError("include_self=False is not supported by "
                                  "the 'ga' engine, only by 'exhaustive'")
             self.ga_params(l2_t)
+        if self.seed < 0:   # for the GA, GaParams has said so already
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def selection_params(self, l2_t: float) -> SelectionParams:
         return SelectionParams(n_c=self.n_c, l2_t=l2_t,

@@ -125,6 +125,14 @@ class TestDenoise:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    def test_negative_seed_rejected_by_the_scan(self, noisy_pgm, tmp_path,
+                                                capsys):
+        out = tmp_path / "x.pgm"
+        code = main(["denoise", str(noisy_pgm), str(out), "--seed", "-1"])
+        assert code == EXIT_VALIDATION
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPsnr:
     def test_identical_images(self, clean_pgm, capsys):

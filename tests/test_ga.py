@@ -258,6 +258,25 @@ class TestFill:
                              ga_mod._draws_at(keys, ga_mod.MUTATE, 3, n_w))
             assert np.array_equal(mutate(genes, mask, keys, n_w, 3), want)
 
+    @pytest.mark.parametrize("n_w,share,price", [
+        (40, 1.0, None),     # every position todo, as in a short row
+        (9, 0.6, None),      # n_w = n_c + 1: most draws clash
+        (9, 1.0, 3 * 8),     # chunks of 3 entries split every string
+        (12, 0.6, 3 * 8)])
+    def test_mutate_cases_match_loop(self, monkeypatch, n_w, share, price):
+        if price is not None:
+            monkeypatch.setattr(ga_mod, "PRICE_ENTRIES", price)
+        rng = np.random.default_rng(n_w)
+        keys = rng.integers(0, 2 ** 63, 5).astype(np.uint64)
+        genes = np.stack([[rng.permutation(n_w)[:8] for _ in range(6)]
+                          for _ in range(5)])
+        mask = rng.uniform(size=genes.shape) < share
+        mask[rng.uniform(size=genes.shape[:2]) < 0.3] = False   # idle strings
+        assert mask.any(axis=2).sum() < mask.shape[0] * mask.shape[1]
+        want = fill_loop(genes, mask, genes,
+                         ga_mod._draws_at(keys, ga_mod.MUTATE, 5, n_w))
+        assert np.array_equal(mutate(genes, mask, keys, n_w, 5), want)
+
     def test_repair_and_init_match_loop(self):
         rng = np.random.default_rng(4)
         keys = rng.integers(0, 2 ** 63, 5).astype(np.uint64)
@@ -640,19 +659,25 @@ class TestBlockSearch:
             ga_select(4, coeffs, p, search=s)
 
     def test_blocks_cover_in_order(self, monkeypatch):
-        monkeypatch.setattr(ga_mod, "GA_BLOCK_ENTRIES", 225 * 60)
+        monkeypatch.setattr(ga_mod, "GA_BLOCK_ROWS", 60)
         blocks = ref_blocks(225)
         assert len(blocks) == 4 and len({len(b) for b in blocks}) > 1
         assert np.array_equal(np.concatenate(blocks), np.arange(225))
         assert [len(b) for b in ref_blocks(3)] == [3]
-        monkeypatch.setattr(ga_mod, "GA_BLOCK_ENTRIES", 100)  # < one row
+        monkeypatch.setattr(ga_mod, "GA_BLOCK_ROWS", 1)
         assert len(ref_blocks(225)) == 225
+
+    def test_block_rows_at_96_and_512(self):
+        # m=8, s=4 at 96 (n_w = 529) and m=16, s=8 at 512 (n_w = 3969)
+        sizes = [len(b) for b in ref_blocks(529)]
+        assert len(sizes) == 5 and set(sizes) <= {105, 106}
+        assert max(len(b) for b in ref_blocks(3969)) <= 128
 
     def test_denoise_independent_of_block_size(self, monkeypatch):
         noisy = add_awgn(ct_phantom(64), 15, 0)
         cfg = DenoiseConfig(m=8, s_size=4, engine="ga", sigma=15.0,
                             threshold_scale=0.25, seed=2)
-        monkeypatch.setattr(ga_mod, "GA_BLOCK_ENTRIES", 225 * 60)
+        monkeypatch.setattr(ga_mod, "GA_BLOCK_ROWS", 60)
         sizes = [len(b) for b in ref_blocks(225)]
         assert len(sizes) >= 3 and len(set(sizes)) > 1
         out, stats = denoise_image(noisy, cfg)

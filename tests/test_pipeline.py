@@ -224,6 +224,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="GA seed must be >= 0, got -1"):
             DenoiseConfig(engine="ga", seed=-1)
 
+    def test_negative_seed_rejected_by_the_scan(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            DenoiseConfig(engine="exhaustive", seed=-1)
+
     def test_ga_defaults_from_ga_params(self):
         assert DenoiseConfig().ga_params(np.inf) == GaParams()
 
