@@ -294,7 +294,7 @@ def crossover(pa, pb, p: GaParams, rng, n_w: int,
     key = np.sort(child * p.n_c + np.arange(p.n_c), axis=-1)   # (value, q)
     value = key // p.n_c
     repeat = value[..., 1:] == value[..., :-1]   # follows an equal gene
-    draws = _draws_at(rng, REPAIR, generation, n_w)
+    draws = _draws_at(rng, REPAIR, generation, n_w)   # takes a Generator's key
     if np.count_nonzero(repeat):
         todo = np.zeros(child.shape, bool)
         todo.reshape(-1, p.n_c)[repeat.reshape(-1, p.n_c - 1).nonzero()[0],
