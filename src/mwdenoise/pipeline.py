@@ -1,11 +1,11 @@
 """The full denoiser: window transform, closer-window selection,
 transform-domain thresholding and overlap aggregation.
 
-For each reference window the configured engine (exhaustive scan or GA
-search) picks the closest candidate windows; their coefficients are
-averaged with the reference, the detail bands are soft-thresholded, and
-the inverse transform is placed back on the pixel grid. Overlapping
-contributions are averaged uniformly.
+The engine (exhaustive scan or GA search) picks each window's closest
+windows; those that pass the gate, self excluded, fill a selection table
+of (n_w, n_c) indices in selection order with a count per row. Blocks of
+windows (`ga.ref_blocks`) are then averaged with their members, shrunk in
+the detail bands, inverted and overlap-added in window order.
 """
 
 import math
@@ -19,7 +19,7 @@ from .ga import GaParams, ga_select
 from .image_io import PEAK
 from .selection import (SelectionParams, exhaustive_select, gram_shortlist,
                         noise_gate)
-from .windows import GridGeometry, build_grid, extract_windows, origin_of
+from .windows import build_grid, extract_windows, origin_of
 
 ENGINES = ("exhaustive", "ga")
 
@@ -117,28 +117,21 @@ def universal_threshold(sigma: float, m: int, scale: float = 1.0) -> float:
 
 
 def soft_threshold(coeffs: np.ndarray, t: float) -> np.ndarray:
-    """Shrink detail coefficients toward zero by t; low-pass untouched."""
-    if t < 0:
-        raise ValueError(f"threshold must be >= 0, got {t}")
-    out = np.array(coeffs, dtype=np.float64)
-    mask = ghm.detail_mask(out.shape[0])
-    d = out[mask]
-    out[mask] = np.sign(d) * np.maximum(np.abs(d) - t, 0.0)
-    return out
+    """Shrink the detail bands of an (..., m, m) stack toward zero by t."""
+    if not 0 <= t < math.inf:
+        raise ValueError(f"threshold must be finite and >= 0, got {t}")
+    W = np.asarray(coeffs, dtype=np.float64)
+    shrunk = np.sign(W) * np.maximum(np.abs(W) - t, 0.0)
+    np.copyto(shrunk, W, where=~ghm.detail_mask(W.shape[-1]))  # low-pass
+    return shrunk
 
 
-def denoise_window(ref_coeffs: np.ndarray, closer_coeffs: np.ndarray,
+def denoise_window(refs: np.ndarray, closer: np.ndarray, counts: np.ndarray,
                    t: float, F: np.ndarray) -> np.ndarray:
-    """Average, shrink and invert one reference window.
-
-    `closer_coeffs` is a (k, m, m) stack of the selected windows'
-    coefficients (k may be 0, leaving the reference alone).
-    """
-    if len(closer_coeffs):
-        combined = (ref_coeffs + closer_coeffs.sum(axis=0)) / (
-            1 + len(closer_coeffs))
-    else:
-        combined = ref_coeffs
+    """Average, shrink and invert the (n, m, m) reference coefficients
+    `refs`. Row i of the (n, k, m, m) stack `closer` holds the coefficients
+    of its counts[i] members, in selection order, then zeros."""
+    combined = (refs + closer.sum(axis=1)) / (1 + counts)[:, None, None]
     return ghm.inverse(soft_threshold(combined, t), F)
 
 
@@ -149,25 +142,19 @@ class Accumulator:
         self.sums = np.zeros(shape)
         self.weights = np.zeros(shape)
 
-    def add(self, patch: np.ndarray, origin_x: int, origin_y: int):
-        m = patch.shape[0]
-        self.sums[origin_y:origin_y + m, origin_x:origin_x + m] += patch
-        self.weights[origin_y:origin_y + m, origin_x:origin_x + m] += 1.0
+    def add(self, patches: np.ndarray, xs, ys):
+        """Add (n, m, m) patches at corners (xs, ys), in stack order."""
+        span = np.arange(patches.shape[-1])
+        rows = np.add.outer(ys, span) * self.sums.shape[1]
+        at = (rows[:, :, None] + np.add.outer(xs, span)[:, None, :]).ravel()
+        np.add.at(self.sums.reshape(-1), at, patches.ravel())
+        np.add.at(self.weights.reshape(-1), at, 1.0)
 
     def finalize(self) -> np.ndarray:
         if (self.weights == 0).any():
             raise AssertionError("uncovered pixels in aggregation")
         out = self.sums / self.weights
         return np.clip(np.rint(out), 0, PEAK).astype(np.uint8)
-
-
-def aggregate(patches, geom: GridGeometry, shape) -> np.ndarray:
-    """Rebuild an image from per-window patches (row-major window order)."""
-    acc = Accumulator(shape)
-    for idx, patch in enumerate(patches):
-        x, y = origin_of(geom, idx)
-        acc.add(patch, x, y)
-    return acc.finalize()
 
 
 def denoise_image(noisy, cfg: DenoiseConfig, trace=None, threads: int = 1):
@@ -211,16 +198,25 @@ def denoise_image(noisy, cfg: DenoiseConfig, trace=None, threads: int = 1):
     else:
         closest = _ga_closest_sets(coeffs, cfg.ga_params(l2_t), trace)
 
-    patches = []
+    # fallback-filled members failed the distance gate; averaging them in
+    # would mix dissimilar content into the estimate
+    table = np.zeros((geom.n_w, cfg.n_c), np.int64)
+    counts = np.zeros(geom.n_w, np.int64)
     total_evals = 0
     for ref_idx, found in enumerate(closest):
-        # fallback-filled members failed the distance gate; averaging them
-        # in would mix dissimilar content into the estimate
         gated = found.gated_indices
         members = gated[gated != ref_idx]
-        patches.append(denoise_window(coeffs[ref_idx], coeffs[members], t, F))
+        table[ref_idx, :len(members)] = members
+        counts[ref_idx] = len(members)
         total_evals += found.evaluations
-    out = aggregate(patches, geom, noisy.shape)
+
+    acc = Accumulator(noisy.shape)
+    for rows in ga.ref_blocks(geom.n_w):
+        closer = coeffs[table[rows, :counts[rows].max()]]
+        closer[np.arange(closer.shape[1]) >= counts[rows, None]] = 0.0
+        patches = denoise_window(coeffs[rows], closer, counts[rows], t, F)
+        acc.add(patches, *origin_of(geom, rows))
+    out = acc.finalize()
 
     wall_ms = (time.perf_counter() - start) * 1000.0
     stats = RunStats(engine=cfg.engine, m=cfg.m, s_size=cfg.s_size,

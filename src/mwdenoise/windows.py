@@ -55,11 +55,15 @@ def build_grid(img, m: int, s_size: int) -> GridGeometry:
                         _offsets(height, m, s_size))
 
 
-def origin_of(geom: GridGeometry, idx: int):
-    """Top-left (x, y) pixel coordinates of window `idx` (row-major)."""
-    if not 0 <= idx < geom.n_w:
-        raise IndexError(f"window index {idx} out of range [0, {geom.n_w})")
-    return geom.xs[idx % geom.cols], geom.ys[idx // geom.cols]
+def origin_of(geom: GridGeometry, idx):
+    """Top-left (x, y) pixels of the windows `idx` (row-major order)."""
+    idx = np.asarray(idx)
+    bad = idx[(idx < 0) | (idx >= geom.n_w)]
+    if bad.size:
+        raise IndexError(f"window index {bad.flat[0]} out of range "
+                         f"[0, {geom.n_w})")
+    row, col = np.divmod(idx, geom.cols)
+    return np.take(geom.xs, col), np.take(geom.ys, row)
 
 
 def extract_windows(img, geom: GridGeometry) -> np.ndarray:

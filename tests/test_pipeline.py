@@ -1,14 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from mwdenoise import ghm
+from mwdenoise import pipeline as pipeline_mod
 from mwdenoise.ga import GaParams
 from mwdenoise.image_io import add_awgn, psnr
 from mwdenoise.phantom import ct_phantom
-from mwdenoise.pipeline import (Accumulator, DenoiseConfig, aggregate,
-                                denoise_image, denoise_window,
-                                sigma_from_coeffs, soft_threshold,
-                                universal_threshold)
+from mwdenoise.pipeline import (Accumulator, DenoiseConfig, denoise_image,
+                                denoise_window, sigma_from_coeffs,
+                                soft_threshold, universal_threshold)
 from mwdenoise.windows import build_grid, extract_windows, origin_of
 
 
@@ -62,71 +64,141 @@ class TestSoftThreshold:
         with pytest.raises(ValueError):
             soft_threshold(np.zeros((8, 8)), -1.0)
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf")])
+    def test_non_finite_threshold_rejected(self, t):
+        # nan used to pass the sign check and fill the detail bands with NaN
+        with pytest.raises(ValueError, match=f"got {t}"):
+            soft_threshold(np.zeros((8, 8)), t)
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_stack_equals_window_calls(self, n):
+        # n == m once, so a mask over the wrong axes would fit the shape
+        rng = np.random.default_rng(6)
+        W = rng.normal(scale=3.0, size=(n, 8, 8))
+        out = soft_threshold(W, 1.5)
+        assert out.shape == W.shape
+        for w, o in zip(W, out):
+            assert np.array_equal(soft_threshold(w, 1.5), o)
+            assert np.array_equal(o[:4, :4], w[:4, :4])
+        assert (out[:, 4:, :] == 0).any() and (out[:, :4, 4:] == 0).any()
+
+    def test_non_square_windows_rejected(self):
+        # an (n, 1, m) stack would otherwise broadcast to (n, m, m)
+        with pytest.raises(ValueError, match="broadcast"):
+            soft_threshold(np.ones((3, 1, 8)), 0.5)
+
+
+def stack_oracle(ref, members, t, F):
+    """One window, elementwise: average, shrink the detail bands, invert."""
+    mean = (ref + sum(members)) / (1 + len(members))
+    shrunk = mean.copy()
+    for a in range(8):
+        for b in range(8):
+            if a < 4 and b < 4:
+                continue
+            v = mean[a, b]
+            shrunk[a, b] = np.sign(v) * max(abs(v) - t, 0.0)
+    return F.T @ shrunk @ F
+
 
 class TestDenoiseWindow:
     def test_identical_closers_round_trip(self):
         F = ghm.build_ghm_matrix(8)
         rng = np.random.default_rng(2)
-        w = rng.uniform(0, 255, (8, 8))
-        ref = ghm.forward_all(w[None], F)[0]
-        closers = np.stack([ref, ref, ref])
-        assert np.abs(denoise_window(ref, closers, 0.0, F) - w).max() < 1e-8
+        w = rng.uniform(0, 255, (2, 8, 8))
+        ref = ghm.forward_all(w, F)
+        closers = np.stack([ref] * 3, axis=1)
+        out = denoise_window(ref, closers, np.array([3, 3]), 0.0, F)
+        assert np.abs(out - w).max() < 1e-8
 
     def test_empty_closers(self):
+        # a row with no members keeps its reference; the padding is ignored
         F = ghm.build_ghm_matrix(8)
         rng = np.random.default_rng(3)
-        w = rng.uniform(0, 255, (8, 8))
-        ref = ghm.forward_all(w[None], F)[0]
-        out = denoise_window(ref, np.empty((0, 8, 8)), 0.0, F)
-        assert np.abs(out - w).max() < 1e-8
+        w = rng.uniform(0, 255, (3, 8, 8))
+        ref = ghm.forward_all(w, F)
+        for closer in (np.empty((3, 0, 8, 8)), np.zeros((3, 2, 8, 8))):
+            out = denoise_window(ref, closer, np.zeros(3, np.int64), 0.0, F)
+            assert np.abs(out - w).max() < 1e-8
 
     def test_elementwise_oracle(self):
         F = ghm.build_ghm_matrix(8)
         rng = np.random.default_rng(4)
-        ref = rng.normal(size=(8, 8))
-        others = rng.normal(size=(2, 8, 8))
+        ref = rng.normal(size=(3, 8, 8))
+        counts = np.array([2, 0, 1])
+        closer = rng.normal(size=(3, 2, 8, 8))
+        closer[np.arange(2) >= counts[:, None]] = 0.0
         t = 0.7
-        out = denoise_window(ref, others, t, F)
+        out = denoise_window(ref, closer, counts, t, F)
+        for i, k in enumerate(counts):
+            want = stack_oracle(ref[i], list(closer[i, :k]), t, F)
+            assert np.abs(out[i] - want).max() < 1e-9
 
-        mean = (ref + others[0] + others[1]) / 3.0
-        shrunk = mean.copy()
-        for a in range(8):
-            for b in range(8):
-                if a < 4 and b < 4:
-                    continue
-                v = mean[a, b]
-                shrunk[a, b] = np.sign(v) * max(abs(v) - t, 0.0)
-        assert np.abs(out - F.T @ shrunk @ F).max() < 1e-9
+
+def add_sequentially(shape, patches, xs, ys):
+    """Overlap-add one window at a time, in order, with plain slices."""
+    sums, weights = np.zeros(shape), np.zeros(shape)
+    m = patches.shape[-1]
+    for patch, x, y in zip(patches, xs, ys):
+        sums[y:y + m, x:x + m] += patch
+        weights[y:y + m, x:x + m] += 1.0
+    return sums, weights
 
 
 class TestAggregate:
+    def accumulate(self, patches, geom, shape, blocks=1):
+        acc = Accumulator(shape)
+        for rows in np.array_split(np.arange(geom.n_w), blocks):
+            acc.add(patches[rows], *origin_of(geom, rows))
+        return acc
+
     def test_partition_of_unity(self):
         rng = np.random.default_rng(5)
         img = rng.integers(0, 256, (40, 40), dtype=np.uint8)
         geom = build_grid(img, 8, 3)
         patches = extract_windows(img, geom)
-        out = aggregate(patches, geom, img.shape)
+        out = self.accumulate(patches, geom, img.shape, 3).finalize()
         assert np.array_equal(out, img)
 
     def test_constant_patches(self):
         img = np.zeros((24, 24), np.uint8)
         geom = build_grid(img, 8, 4)
         patches = np.full((geom.n_w, 8, 8), 100.0)
-        assert np.all(aggregate(patches, geom, img.shape) == 100)
+        out = self.accumulate(patches, geom, img.shape).finalize()
+        assert np.all(out == 100)
 
     def test_overlap_average(self):
         acc = Accumulator((4, 4))
-        acc.add(np.full((2, 2), 10.0), 0, 0)
-        acc.add(np.full((2, 2), 20.0), 1, 0)
-        acc.add(np.full((4, 4), 0.0), 0, 0)  # cover the rest
+        acc.add(np.stack([np.full((2, 2), 10.0), np.full((2, 2), 20.0)]),
+                np.array([0, 1]), np.array([0, 0]))
+        acc.add(np.zeros((1, 4, 4)), np.array([0]), np.array([0]))
         out = acc.sums / acc.weights
         assert out[0, 1] == pytest.approx((10 + 20 + 0) / 3)
+        assert acc.weights[0, 1] == 3 and acc.weights[3, 3] == 1
 
     def test_uncovered_pixel_asserts(self):
         acc = Accumulator((4, 4))
-        acc.add(np.zeros((2, 2)), 0, 0)
+        acc.add(np.zeros((1, 2, 2)), np.array([0]), np.array([0]))
         with pytest.raises(AssertionError):
             acc.finalize()
+
+    def test_blocks_equal_sequential_adds(self):
+        # magnitudes from 1e-3 to 1e16 make every pixel's sum depend on
+        # the order of its terms; blocks must keep window order
+        rng = np.random.default_rng(7)
+        shape = (37, 41)
+        geom = build_grid(np.zeros(shape), 8, 3)
+        patches = (rng.choice([-1.0, 1.0], (geom.n_w, 8, 8))
+                   * 10.0 ** rng.integers(-3, 17, (geom.n_w, 8, 8)))
+        xs, ys = origin_of(geom, np.arange(geom.n_w))
+        sums, weights = add_sequentially(shape, patches, xs, ys)
+        for blocks in (1, 4, geom.n_w):
+            acc = self.accumulate(patches, geom, shape, blocks)
+            assert acc.sums.tobytes() == sums.tobytes()
+            assert acc.weights.tobytes() == weights.tobytes()
+        reverse, _ = add_sequentially(shape, patches[::-1], xs[::-1],
+                                      ys[::-1])
+        assert reverse.tobytes() != sums.tobytes()
 
 
 class TestDenoiseImage:
@@ -305,6 +377,58 @@ def test_universal_threshold_formula():
         pytest.approx(10.0 * np.sqrt(2.0 * np.log(64.0)))
     assert universal_threshold(10.0, 8, scale=0.5) == \
         pytest.approx(5.0 * np.sqrt(2.0 * np.log(64.0)))
+
+
+def _sha(out) -> str:
+    return hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest()
+
+
+# The exhaustive engine's output bytes, recorded before the back half ran
+# on blocks of windows: (case, phantom size, DenoiseConfig kwargs, sha256
+# of the output, distance evaluations, rows with no member but self).
+# Noise is add_awgn(ct_phantom(size), 20, 7). The gate of 200 leaves most
+# rows memberless, the gate of 60 every row.
+BASE = dict(m=8, s_size=4, sigma=20.0, threshold_scale=0.25)
+GOLDEN_EXHAUSTIVE = (
+    ("self", 64, BASE,
+     "f4937859553c4bfca4f3dec17bf3d634818307ec23046b379b8d5dbfe6ff79aa",
+     50625, 97),
+    ("no-self", 64, dict(BASE, include_self=False),
+     "9ec9e7f18d79ef7621f236221b7d49e172c8ade2c675c5904d91a1a197c476d1",
+     50400, 97),
+    ("estimated-sigma", 64, dict(BASE, sigma=None),
+     "ca3cfc6c4d88b1cb7ff2bcb3d32d3d11fce060289c5714ed8340ba8fcc47f166",
+     50625, 77),
+    ("clamped-edges", 70, dict(BASE, s_size=3),
+     "8f94fe16fd069b087cf04954869436d660565b728f6ed766fa794f6a41bd29a8",
+     234256, 158),
+    ("tiny-gate", 64, dict(BASE, l2_t=200.0),
+     "14675e9cd1476097d05716086551a43b455c9717a0d4b6cd83a6be10f8345852",
+     50625, 166),
+    ("empty-gate", 64, dict(BASE, l2_t=60.0),
+     "6ff0affdab3aea233c2a8eeb253128c07eed3e1a7fc426268bfbe5f4cc1ad8a0",
+     50625, 225),
+)
+
+
+@pytest.mark.parametrize("name,size,kwargs,digest,evals,memberless",
+                         GOLDEN_EXHAUSTIVE,
+                         ids=[c[0] for c in GOLDEN_EXHAUSTIVE])
+def test_exhaustive_digest(monkeypatch, name, size, kwargs, digest, evals,
+                           memberless):
+    found = []
+    select = pipeline_mod.exhaustive_select
+
+    def spy(*args, **kw):
+        found.append(select(*args, **kw))
+        return found[-1]
+
+    monkeypatch.setattr(pipeline_mod, "exhaustive_select", spy)
+    out, stats = denoise_image(add_awgn(ct_phantom(size), 20, 7),
+                               DenoiseConfig(**kwargs))
+    assert (_sha(out), stats.distance_evals) == (digest, evals)
+    assert sum(set(s.gated_indices) <= {s.ref_idx} for s in found) \
+        == memberless
 
 
 def test_origin_roundtrip_consistency():

@@ -63,6 +63,20 @@ class TestWindowAt:
             with pytest.raises(IndexError):
                 origin_of(geom, idx)
 
+    def test_index_array_equals_scalar_calls(self):
+        geom = build_grid(np.zeros((41, 30), np.uint8), 8, 5)
+        idx = np.array([[0, 5], [geom.n_w - 1, geom.cols]])
+        xs, ys = origin_of(geom, idx)
+        assert xs.shape == ys.shape == idx.shape
+        for i, x, y in zip(idx.flat, xs.flat, ys.flat):
+            assert origin_of(geom, i) == (x, y)
+
+    def test_index_array_out_of_range_named(self):
+        geom = build_grid(np.zeros((32, 32), np.uint8), 8, 4)
+        for bad in (geom.n_w, -1):
+            with pytest.raises(IndexError, match=f"window index {bad} out"):
+                origin_of(geom, np.array([0, 3, bad, 1]))
+
     def test_values_match_slices(self):
         # every offset, the clamped last row and column included
         rng = np.random.default_rng(0)
