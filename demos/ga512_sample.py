@@ -4,9 +4,12 @@ A full GA denoise of a 512x512 slice takes tens of seconds, too long to
 repeat when comparing two versions of the code. This runs the GA, as the
 pipeline does, for every 15th window of the paper's geometry (m=16,
 s_size=8, n_w = 3969): 264 references by default, searched in blocks of
-the row count the image's own blocks get. It prints the seconds, the
-distance evaluations and a sha256 over each closest set's index and
-distance bytes, so two runs compare both time and results:
+the row count the image's own blocks get. Rows are first classified over
+the whole image, as the pipeline does (`pipeline.short_rows`), and the
+sample's short rows are settled: priced in full and searched for one
+generation. It prints the classification and search seconds, the settled
+count, the distance evaluations and a sha256 over each closest set's
+index and distance bytes, so two runs compare both time and results:
 
     PYTHONPATH=src python demos/ga512_sample.py [--refs N]
 """
@@ -17,7 +20,7 @@ import time
 
 import numpy as np
 
-from mwdenoise import add_awgn, ct_phantom, ga, ghm
+from mwdenoise import add_awgn, ct_phantom, ga, ghm, pipeline
 from mwdenoise.selection import noise_gate
 from mwdenoise.windows import build_grid, extract_windows
 
@@ -38,16 +41,21 @@ sample = sample[:args.refs]
 rows = max(len(b) for b in ga.ref_blocks(len(coeffs)))
 p = ga.GaParams(l2_t=noise_gate(SIGMA, M), seed=0)
 
+start = time.perf_counter()
+short = pipeline.short_rows(coeffs, p)
+classify = time.perf_counter() - start
+
 digest = hashlib.sha256()
 evaluations = 0
 start = time.perf_counter()
 for refs in np.array_split(sample, -(-len(sample) // rows)):
-    for search in ga.search_block(coeffs, refs, p):
+    for search in ga.search_block(coeffs, refs, p, settled=short[refs]):
         found = ga.ga_select(search.ref_idx, coeffs, p, search=search)
         digest.update(found.indices.tobytes())
         digest.update(found.distances.tobytes())
         evaluations += found.evaluations
 seconds = time.perf_counter() - start
 
-print(f"refs={len(sample)} block_rows={rows} seconds={seconds:.3f} "
+print(f"refs={len(sample)} block_rows={rows} settled={short[sample].sum()} "
+      f"classify_s={classify:.3f} seconds={seconds:.3f} "
       f"evaluations={evaluations} sha256={digest.hexdigest()}")

@@ -23,6 +23,9 @@ distance cache a (rows, n_w) array, NaN where a window is not priced yet.
 The operators and `DistanceCache.lookup` work on whole rows; a 1-D gene
 string drawing from a numpy `Generator` is their one-row case. A row
 leaves the block after the generation its lone run would have stopped at.
+A row marked settled (its gate passes fewer than n_c windows, so no search
+can fill its archive) is priced in full first and leaves after generation
+1 with the exact answer: its gated windows, then the fallback fill.
 `ga_select` turns a row's search into its closest set (the archive read
 off the cache, the fallback fill, the trace records); without a search it
 runs the one-row block, folding each generation as it goes.
@@ -392,14 +395,17 @@ def ref_blocks(n_w: int) -> list:
 
 
 def search_block(coeffs: np.ndarray, refs, p: GaParams,
-                 record: bool = False, live: bool = False) -> list:
+                 record: bool = False, live: bool = False,
+                 settled=None) -> list:
     """Run the GA for the reference windows `refs` in lockstep; one
     GaSearch per reference, in order.
 
     Each row runs exactly the generations it would run alone, keyed by
     its own `ref_stream`. `record` keeps the per-generation trace records.
     `live` folds each generation's population, before and after mutation,
-    through `update_best_set`, as a lone run's archive is kept.
+    through `update_best_set`, as a lone run's archive is kept. A row
+    marked in the mask `settled` (one whose gate passes fewer than n_c
+    windows) is priced in full first, so it stops after generation 1.
     """
     cache = DistanceCache(coeffs, refs)
     n_w, n_c, half = cache.n_w, p.n_c, p.n_p // 2
@@ -407,6 +413,9 @@ def search_block(coeffs: np.ndarray, refs, p: GaParams,
                            for r in cache.refs.tolist()])
     rows = np.arange(len(cache.refs))   # the block rows still running
     cache.lookup(cache.refs[:, None], rows)   # each reference itself first
+    if settled is not None:
+        full = rows[settled]
+        cache.lookup(np.broadcast_to(np.arange(n_w), (len(full), n_w)), full)
     genes, dists = init_population(cache, p, keys)
     fit = _mean(dists)
     searches = [GaSearch(cache, i, BestSet(r))

@@ -2,10 +2,14 @@
 transform-domain thresholding and overlap aggregation.
 
 The engine (exhaustive scan or GA search) picks each window's closest
-windows; those that pass the gate, self excluded, fill a selection table
-of (n_w, n_c) indices in selection order with a count per row. Blocks of
-windows (`ga.ref_blocks`) are then averaged with their members, shrunk in
-the detail bands, inverted and overlap-added in window order.
+windows. The GA first finds the windows whose gate passes fewer than n_c
+windows (`short_rows`); no search can fill their archives, so they are
+priced in full and searched for one generation, which gives each its
+exact closest set. The members that pass the gate, self excluded, fill a
+selection table of (n_w, n_c) indices in selection order with a count per
+row. Blocks of windows (`ga.ref_blocks`) are then averaged with their
+members, summed a column at a time, shrunk in the detail bands, inverted
+and overlap-added in window order.
 """
 
 import math
@@ -17,8 +21,8 @@ import numpy as np
 from . import ga, ghm
 from .ga import GaParams, ga_select
 from .image_io import PEAK
-from .selection import (SelectionParams, exhaustive_select, gram_shortlist,
-                        noise_gate)
+from .selection import (SelectionParams, distances_from, exhaustive_select,
+                        gram_shortlist, noise_gate, passes_gate)
 from .windows import build_grid, extract_windows, origin_of
 
 ENGINES = ("exhaustive", "ga")
@@ -87,6 +91,7 @@ class RunStats:
     seed: int
     psnr_in: float | None = None
     psnr_out: float | None = None
+    short_rows: int | None = None   # GA: windows whose gate passes < n_c
 
     def as_block(self) -> str:
         """Flat key=value rendering, one field per line."""
@@ -97,6 +102,8 @@ class RunStats:
                  ("psnr_out", _fmt_db(self.psnr_out)),
                  ("distance_evals", self.distance_evals),
                  ("wall_ms", f"{self.wall_ms:.1f}"), ("seed", self.seed)]
+        if self.short_rows is not None:
+            pairs.append(("short_rows", self.short_rows))
         return "\n".join(f"{k}={v}" for k, v in pairs)
 
 
@@ -129,9 +136,9 @@ def soft_threshold(coeffs: np.ndarray, t: float) -> np.ndarray:
 def denoise_window(refs: np.ndarray, closer: np.ndarray, counts: np.ndarray,
                    t: float, F: np.ndarray) -> np.ndarray:
     """Average, shrink and invert the (n, m, m) reference coefficients
-    `refs`. Row i of the (n, k, m, m) stack `closer` holds the coefficients
-    of its counts[i] members, in selection order, then zeros."""
-    combined = (refs + closer.sum(axis=1)) / (1 + counts)[:, None, None]
+    `refs`. Row i of the (n, m, m) stack `closer` is the sum of the
+    coefficients of its counts[i] members."""
+    combined = (refs + closer) / (1 + counts)[:, None, None]
     return ghm.inverse(soft_threshold(combined, t), F)
 
 
@@ -190,13 +197,16 @@ def denoise_image(noisy, cfg: DenoiseConfig, trace=None, threads: int = 1):
     t = universal_threshold(sigma, cfg.m, cfg.threshold_scale)
     l2_t = cfg.l2_t if cfg.l2_t is not None else noise_gate(sigma, cfg.m)
 
+    short = None
     if cfg.engine == "exhaustive":
         params = cfg.selection_params(l2_t)
         closest = (exhaustive_select(ref_idx, coeffs, params, shortlist)
                    for ref_idx, shortlist in
                    enumerate(gram_shortlist(coeffs, params)))
     else:
-        closest = _ga_closest_sets(coeffs, cfg.ga_params(l2_t), trace)
+        p = cfg.ga_params(l2_t)
+        short = short_rows(coeffs, p)
+        closest = _ga_closest_sets(coeffs, p, short, trace)
 
     # fallback-filled members failed the distance gate; averaging them in
     # would mix dissimilar content into the estimate
@@ -212,26 +222,59 @@ def denoise_image(noisy, cfg: DenoiseConfig, trace=None, threads: int = 1):
 
     acc = Accumulator(noisy.shape)
     for rows in ga.ref_blocks(geom.n_w):
-        closer = coeffs[table[rows, :counts[rows].max()]]
-        closer[np.arange(closer.shape[1]) >= counts[rows, None]] = 0.0
-        patches = denoise_window(coeffs[rows], closer, counts[rows], t, F)
+        # members summed a column at a time in selection order, zero past
+        # a row's count: the bits of a (rows, k, m, m) gather's sum
+        n = counts[rows]
+        closer = coeffs[table[rows, 0]]
+        closer[n == 0] = 0.0
+        for j in range(1, n.max()):
+            column = coeffs[table[rows, j]]
+            column[n <= j] = 0.0
+            closer += column
+        patches = denoise_window(coeffs[rows], closer, n, t, F)
         acc.add(patches, *origin_of(geom, rows))
     out = acc.finalize()
 
     wall_ms = (time.perf_counter() - start) * 1000.0
     stats = RunStats(engine=cfg.engine, m=cfg.m, s_size=cfg.s_size,
                      n_c=cfg.n_c, sigma=sigma, distance_evals=total_evals,
-                     wall_ms=wall_ms, seed=cfg.seed)
+                     wall_ms=wall_ms, seed=cfg.seed,
+                     short_rows=None if short is None else int(short.sum()))
     return out, stats
 
 
-def _ga_closest_sets(coeffs, p: GaParams, trace):
+def short_rows(coeffs: np.ndarray, p: GaParams) -> np.ndarray:
+    """Whether each window's gate passes fewer than n_c windows.
+
+    Such a row's archive can never fill, so its GA answer is the exact one
+    once every window is priced. Ungated shortlists (`gram_shortlist`)
+    hold each window's exact top n_c, and the gate is monotone in
+    distance, so a row is short exactly when fewer than n_c of its
+    shortlist pass `passes_gate`. The shortlist pairs are priced with the
+    canonical kernel, ga.PRICE_ENTRIES coefficients at a time.
+    """
+    lists = gram_shortlist(coeffs, SelectionParams(n_c=p.n_c))
+    refs = np.repeat(np.arange(len(lists)), [len(c) for c in lists])
+    cands = np.concatenate(lists)
+    passed = np.empty(len(refs), bool)
+    step = max(1, ga.PRICE_ENTRIES // coeffs[0].size)
+    for lo in range(0, len(refs), step):
+        at = slice(lo, lo + step)
+        passed[at] = passes_gate(distances_from(coeffs, refs[at], cands[at]),
+                                 p.l2_t)
+    return np.bincount(refs[passed], minlength=len(lists)) < p.n_c
+
+
+def _ga_closest_sets(coeffs, p: GaParams, short, trace):
     """Every window's GA closest set, in window order.
 
-    The reference windows are searched in blocks. Each window's closest
-    set then comes from `ga_select`, which replays its trace records.
+    The reference windows are searched in blocks; the `short` rows are
+    priced in full and searched for one generation only. Each window's
+    closest set then comes from `ga_select`, which replays its trace
+    records.
     """
     for refs in ga.ref_blocks(len(coeffs)):
         for search in ga.search_block(coeffs, refs, p,
-                                      record=trace is not None):
+                                      record=trace is not None,
+                                      settled=short[refs]):
             yield ga_select(search.ref_idx, coeffs, p, trace, search=search)

@@ -3,14 +3,17 @@ import hashlib
 import numpy as np
 import pytest
 
+from mwdenoise import ga as ga_mod
 from mwdenoise import ghm
 from mwdenoise import pipeline as pipeline_mod
 from mwdenoise.ga import GaParams
 from mwdenoise.image_io import add_awgn, psnr
 from mwdenoise.phantom import ct_phantom
 from mwdenoise.pipeline import (Accumulator, DenoiseConfig, denoise_image,
-                                denoise_window, sigma_from_coeffs,
+                                denoise_window, short_rows, sigma_from_coeffs,
                                 soft_threshold, universal_threshold)
+from mwdenoise.selection import (SelectionParams, distances_from,
+                                 exhaustive_select, noise_gate)
 from mwdenoise.windows import build_grid, extract_windows, origin_of
 
 
@@ -108,18 +111,19 @@ class TestDenoiseWindow:
         w = rng.uniform(0, 255, (2, 8, 8))
         ref = ghm.forward_all(w, F)
         closers = np.stack([ref] * 3, axis=1)
-        out = denoise_window(ref, closers, np.array([3, 3]), 0.0, F)
+        out = denoise_window(ref, closers.sum(axis=1), np.array([3, 3]),
+                             0.0, F)
         assert np.abs(out - w).max() < 1e-8
 
     def test_empty_closers(self):
-        # a row with no members keeps its reference; the padding is ignored
+        # a row with no members keeps its reference
         F = ghm.build_ghm_matrix(8)
         rng = np.random.default_rng(3)
         w = rng.uniform(0, 255, (3, 8, 8))
         ref = ghm.forward_all(w, F)
-        for closer in (np.empty((3, 0, 8, 8)), np.zeros((3, 2, 8, 8))):
-            out = denoise_window(ref, closer, np.zeros(3, np.int64), 0.0, F)
-            assert np.abs(out - w).max() < 1e-8
+        out = denoise_window(ref, np.zeros((3, 8, 8)), np.zeros(3, np.int64),
+                             0.0, F)
+        assert np.abs(out - w).max() < 1e-8
 
     def test_elementwise_oracle(self):
         F = ghm.build_ghm_matrix(8)
@@ -129,7 +133,7 @@ class TestDenoiseWindow:
         closer = rng.normal(size=(3, 2, 8, 8))
         closer[np.arange(2) >= counts[:, None]] = 0.0
         t = 0.7
-        out = denoise_window(ref, closer, counts, t, F)
+        out = denoise_window(ref, closer.sum(axis=1), counts, t, F)
         for i, k in enumerate(counts):
             want = stack_oracle(ref[i], list(closer[i, :k]), t, F)
             assert np.abs(out[i] - want).max() < 1e-9
@@ -242,20 +246,45 @@ class TestDenoiseImage:
         assert np.array_equal(serial, threaded)
         assert s1.distance_evals == s2.distance_evals
 
-    def test_ga_trace_independent_of_threads(self):
-        # records come in window order, then generation order
-        noisy = add_awgn(ct_phantom(48), 15, 3)
-        cfg = DenoiseConfig(m=8, s_size=4, engine="ga", sigma=15.0,
-                            threshold_scale=0.25, seed=1)
-        traces = []
-        for threads in (1, 3):
-            records = []
-            denoise_image(noisy, cfg, threads=threads,
-                          trace=lambda *rec: records.append(rec))
-            traces.append(records)
-        assert traces[0] == traces[1]
-        assert traces[0][0][0] == 1
-        assert len(traces[0]) > build_grid(noisy, 8, 4).n_w
+    def test_ga_trace_independent_of_threads(self, monkeypatch):
+        # records come in window order, then generation order: one
+        # generation per settled row, every generation of a searched one.
+        # Every row of the 48-px image is settled; at 64 px some search.
+        searches, settled = [], []
+        block = ga_mod.search_block
+
+        def spy(*args, **kwargs):
+            settled.extend(kwargs["settled"].tolist())
+            found = block(*args, **kwargs)
+            searches.extend(found)
+            return found
+
+        monkeypatch.setattr(ga_mod, "search_block", spy)
+        for size, all_settled in ((48, True), (64, False)):
+            noisy = add_awgn(ct_phantom(size), 15, 3)
+            cfg = DenoiseConfig(m=8, s_size=4, engine="ga", sigma=15.0,
+                                threshold_scale=0.25, seed=1)
+            traces = []
+            for threads in (1, 3):
+                records, searches[:], settled[:] = [], [], []
+                denoise_image(noisy, cfg, threads=threads,
+                              trace=lambda *rec: records.append(rec))
+                traces.append(records)
+            assert traces[0] == traces[1]
+            counts = [len(s.fitness) for s in searches]
+            assert [s.ref_idx for s in searches] == list(range(len(counts)))
+            assert len(counts) == build_grid(noisy, 8, 4).n_w
+            assert len(traces[0]) == sum(counts)
+            gens = [r[0] for r in traces[0]]
+            at = np.cumsum([0] + counts)
+            for k, (lo, hi) in enumerate(zip(at, at[1:])):
+                assert gens[lo:hi] == list(range(1, hi - lo + 1))
+                if settled[k]:
+                    assert hi - lo == 1
+            assert all(settled) == all_settled
+            assert any(settled)
+            if not all_settled:
+                assert max(counts) > 1
 
     def test_sigma_estimated_when_unknown(self):
         noisy = add_awgn(ct_phantom(64), 20, 4)
@@ -271,6 +300,16 @@ class TestDenoiseImage:
         for key in ("engine=", "m=", "s_size=", "n_c=", "sigma=",
                     "distance_evals=", "wall_ms=", "seed="):
             assert key in block
+        assert stats.short_rows is None and "short_rows=" not in block
+
+    def test_stats_count_short_rows_for_the_ga(self):
+        noisy = add_awgn(ct_phantom(48), 15, 3)
+        cfg = DenoiseConfig(m=8, s_size=4, engine="ga", sigma=15.0,
+                            threshold_scale=0.25, seed=1)
+        _, stats = denoise_image(noisy, cfg)
+        n_w = build_grid(noisy, 8, 4).n_w
+        assert stats.short_rows == n_w   # every row; see the trace test
+        assert f"short_rows={n_w}" in stats.as_block().splitlines()
 
 
 class TestValidation:
@@ -434,3 +473,90 @@ def test_exhaustive_digest(monkeypatch, name, size, kwargs, digest, evals,
 def test_origin_roundtrip_consistency():
     geom = build_grid(np.zeros((64, 64), np.uint8), 8, 4)
     assert origin_of(geom, geom.cols) == (0, 4)
+
+
+def window_coeffs(img, m=8, s_size=4):
+    return ghm.forward_all(extract_windows(img, build_grid(img, m, s_size)),
+                           ghm.build_ghm_matrix(m))
+
+
+def gate_at_a_distance(noisy, n_c):
+    """A gate equal to window 0's n_c-th smallest distance, which no other
+    window of its row ties: window 0 then passes exactly n_c - 1."""
+    d = np.sort(distances_from(window_coeffs(noisy), 0))
+    assert d[n_c - 2] < d[n_c - 1] < d[n_c]
+    return float(d[n_c - 1])
+
+
+def tiled(size, seed):
+    """One random 8x8 block repeated: on a step-4 grid the windows fall
+    into four classes of identical windows, so distances tie."""
+    block = np.random.default_rng(seed).integers(0, 256, (8, 8))
+    reps = size // 8 + 1
+    return np.tile(block, (reps, reps))[:size, :size].astype(np.uint8)
+
+
+class TestShortRows:
+    """A window whose gate passes fewer than n_c windows is priced in full
+    and searched for one generation; its closest set is the scan's top n_c
+    without a gate, with the gated count and n_w evaluations."""
+
+    BASE = dict(m=8, s_size=4, engine="ga", sigma=15.0, threshold_scale=0.25,
+                seed=1)
+
+    def closest_sets(self, monkeypatch, noisy, cfg):
+        found = []
+        select = pipeline_mod.ga_select
+
+        def spy(*args, **kwargs):
+            found.append(select(*args, **kwargs))
+            return found[-1]
+
+        def scan(*args, **kwargs):
+            raise AssertionError("the GA path ran the exhaustive scan")
+
+        monkeypatch.setattr(pipeline_mod, "ga_select", spy)
+        monkeypatch.setattr(pipeline_mod, "exhaustive_select", scan)
+        denoise_image(noisy, cfg)
+        return found
+
+    @pytest.mark.parametrize("case", ["phantom", "tied", "at-gate",
+                                      "all-short"])
+    def test_short_rows_answered_exactly(self, monkeypatch, case):
+        noisy = add_awgn(ct_phantom(48), 15, 3)
+        kwargs = dict(self.BASE)
+        if case == "tied":
+            noisy = tiled(32, 5)
+            kwargs.update(l2_t=1.0)   # passes exactly a window's class
+        elif case == "at-gate":
+            kwargs.update(l2_t=gate_at_a_distance(noisy, 16))
+        elif case == "all-short":
+            kwargs.update(l2_t=1e-6)  # passes only the window itself
+        cfg = DenoiseConfig(**kwargs)
+        coeffs = window_coeffs(noisy)
+        n_w = len(coeffs)
+        l2_t = noise_gate(15.0, 8) if cfg.l2_t is None else cfg.l2_t
+        gated = np.array([np.count_nonzero(distances_from(coeffs, r) < l2_t)
+                          for r in range(n_w)])
+        short = gated < cfg.n_c
+        p = cfg.ga_params(l2_t)
+        assert np.array_equal(short_rows(coeffs, p), short)
+        found = self.closest_sets(monkeypatch, noisy, cfg)
+        assert [c.ref_idx for c in found] == list(range(n_w))
+        exact = SelectionParams(n_c=cfg.n_c)
+        for r in np.flatnonzero(short).tolist():
+            want = exhaustive_select(r, coeffs, exact)
+            assert found[r].indices.tobytes() == want.indices.tobytes()
+            assert found[r].distances.tobytes() == want.distances.tobytes()
+            assert (found[r].gated, found[r].evaluations) == (gated[r], n_w)
+            assert found[r].fallback_used
+        assert short.any()
+        if case == "tied":
+            # class sizes 16, 12, 12 and 9: the class of 16 fills n_c
+            assert sorted(set(gated.tolist())) == [9, 12, 16]
+            assert not short.all()
+        elif case == "at-gate":
+            assert short[0] and gated[0] == 15
+            assert found[0].distances[15] == l2_t
+        elif case == "all-short":
+            assert short.all() and (gated == 1).all()
