@@ -49,6 +49,10 @@ class DenoiseConfig:
     max_rounds: int = GaParams.max_rounds
 
     def __post_init__(self):
+        ghm.check_size(self.m)
+        if not 1 <= self.s_size <= self.m:
+            raise ValueError(f"s_size must be in [1, m={self.m}], "
+                             f"got {self.s_size}")
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}; "
                              f"expected one of {ENGINES}")

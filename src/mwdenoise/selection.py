@@ -122,7 +122,9 @@ def exhaustive_select(ref_idx: int, coeffs: np.ndarray,
     return ClosestSet(ref_idx, cand[order], dists[order], evaluations)
 
 
-GRAM_BLOCK_ENTRIES = 2 ** 17   # float64 values in one Gram block: 1 MiB
+# float64 values in one Gram block, and in one block of windows that
+# ghm.forward_all transforms: 1 MiB
+GRAM_BLOCK_ENTRIES = 2 ** 17
 
 
 def gram_shortlist(coeffs: np.ndarray, params: SelectionParams) -> list:

@@ -85,6 +85,14 @@ class TestDenoise:
         assert not (tmp_path / "x.pgm").exists()
         capsys.readouterr()
 
+    def test_window_below_transform_minimum(self, noisy_pgm, tmp_path,
+                                            capsys):
+        code = main(["denoise", str(noisy_pgm), str(tmp_path / "x.pgm"),
+                     "--window", "4"])
+        assert code == EXIT_VALIDATION
+        assert not (tmp_path / "x.pgm").exists()
+        assert "transform size" in capsys.readouterr().err
+
     def test_window_larger_than_image(self, noisy_pgm, tmp_path, capsys):
         code = main(["denoise", str(noisy_pgm), str(tmp_path / "x.pgm"),
                      "--window", "128", "--step", "64"])

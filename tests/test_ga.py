@@ -436,33 +436,34 @@ GATE15 = noise_gate(15.0, 8)
 
 # (name, ref, window count or None for all, GaParams kwargs, sha256 of the
 # result). The digests were recorded when the draws became addressed by a
-# counter; a change to the draws, the fill rule, the fitness bits or the
-# archive merge shows up here.
+# counter, and all but `fallback` again when the forward transform became
+# F @ w @ F.T matmuls; a change to the draws, the fill rule, the fitness
+# bits, the archive merge or the coefficient bits shows up here.
 GOLDEN_SELECT = [
     ("short-genes-s11", 3, None,
      dict(n_c=4, c_p1=1, c_p2=2, l2_t=BIG, seed=11),
-     "ac9b93fd7dbfb927d74e81d86edfe801397ccfc4caea7b906aab7a15a7a049d8"),
+     "3279301ff53b48a856ea3c7aa1ec3012aac8b048cf8228da576fef7c60183f94"),
     ("short-genes-s2", 120, None,
      dict(n_c=4, c_p1=1, c_p2=2, l2_t=BIG, seed=2),
-     "1568db6576f600eae3c0b78bb49382d44c307deac421932dd8abc839a2901ee5"),
+     "ee57398d3b8c06d1c53f1321710deef9eda75a75f00f0dd9d20fed0a11f26045"),
     ("noise-gate-ref0", 0, None, dict(l2_t=GATE15, seed=0),
-     "4520247b328803fea4acd288304653562802928cc4f144a44609899c9fac091f"),
+     "04954717068c6ccab72c9b256d0318319565ea76b8d544c3301b708add69c9c9"),
     ("noise-gate-ref112", 112, None, dict(l2_t=GATE15, seed=5),
-     "4d6e9d91c335c04a0b4ac81d01d227ed8a82532e78eb35f0e471eb9838219e66"),
+     "e5e6afdd9fe77f7fea2d225ace371b6b650f6247fbd51c8d791adb743d5932ba"),
     ("noise-gate-ref224", 224, None, dict(l2_t=GATE15, seed=9),
-     "f2ee907c35efc5f9eea2b82d638814d969ca2a5c6d6b6aeafaf2f9319667de5b"),
+     "534b1875d87481911d34b4f591a06723378e99cb2e7eaee2ef31cc6df43c315b"),
     ("fallback", 0, None,
      dict(n_c=4, c_p1=1, c_p2=2, l2_t=1e-9, max_rounds=1, g_max=5, seed=0),
      "32e0e3d6bd5b1a2ff6c6e2493da525a4b5af2308688f67fc778622a0810a4539"),
     ("fallback-partial", 14, None,
      dict(l2_t=0.8 * GATE15, max_rounds=1, g_max=5, seed=1),
-     "c9f4c3be099b65fa8a38e6a6a80f481b749d1fa4fd65627fda8b82c3259bea7b"),
+     "b92900cb12578feb49086f62dfaaaeccbf484705b04267794daba0ded02ce05f"),
     ("wide-gate", 77, None, dict(l2_t=3.0 * GATE15, seed=7),
-     "13e3fb5a4779664f26f4166c19cee1d9f2f07ea8fbf36f61aa8569673f188f2d"),
+     "ce42c9781fa310057936276584fa8beafeedade9b11d3d09e1e029395af7f5fd"),
     ("saturated", 5, 24, dict(n_c=8, c_p1=2, c_p2=5, l2_t=BIG, seed=3),
-     "f527c2903cb895bd065b9a547f7e0fe8d5be076b5fc8960cbd71fde41ce33399"),
+     "1c48591fc19a525cb079dda3e5e908a3a6bbde78bc96c88e5bce32cb34c0574f"),
     ("all-windows", 2, 6, dict(n_c=6, c_p1=1, c_p2=3, l2_t=BIG, seed=4),
-     "a4c228350e7e65b16fa8b986ae55eb296456c74e66d0b7776b4a5a344f6813e6"),
+     "b072301d4ccc76d026ec31a7330edb311ba8790665f655ac0857da80669d402f"),
 ]
 
 

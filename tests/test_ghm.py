@@ -1,8 +1,16 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mwdenoise
 from mwdenoise.ghm import (GHM_LOWPASS, build_ghm_matrix, constant_free_rows,
                            detail_mask, forward_all, inverse)
+from mwdenoise.selection import GRAM_BLOCK_ENTRIES
 
 
 @pytest.mark.parametrize("m", [8, 16, 32])
@@ -84,7 +92,49 @@ class TestForwardInverse:
         stack = rng.uniform(0, 255, (5, 8, 8))
         batch = forward_all(stack, F)
         for i in range(5):
-            assert np.allclose(batch[i], F @ stack[i] @ F.T)
+            assert batch[i].tobytes() == (F @ stack[i] @ F.T).tobytes()
+
+    @pytest.mark.parametrize("m", [8, 16])
+    def test_forward_all_blocks_match_single(self, m):
+        # byte for byte: a window's bits do not depend on the stack it
+        # came in or on where the blocks split it
+        F = build_ghm_matrix(m)
+        n = GRAM_BLOCK_ENTRIES // (m * m) + 37
+        stack = np.random.default_rng(m).uniform(0, 255, (n, m, m))
+        batch = forward_all(stack, F)
+        assert batch.shape == stack.shape
+        for i in range(n):
+            assert batch[i].tobytes() == forward_all(stack[i:i + 1],
+                                                     F).tobytes()
+
+    def test_forward_all_empty(self):
+        F = build_ghm_matrix(8)
+        out = forward_all(np.zeros((0, 8, 8)), F)
+        assert out.shape == (0, 8, 8) and out.dtype == np.float64
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.uint8])
+    def test_forward_all_float64_result(self, dtype):
+        F = build_ghm_matrix(8)
+        stack = np.random.default_rng(6).integers(0, 256, (20, 8, 8))
+        out = forward_all(stack.astype(dtype), F)
+        assert out.dtype == np.float64
+        assert out.tobytes() == forward_all(stack.astype(np.float64),
+                                            F).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint8])
+    def test_forward_all_memory(self, dtype):
+        # blocked, the working memory past the output is two blocks (a
+        # float64 copy and F @ w); a whole-stack product would add a stack
+        F = build_ghm_matrix(16)
+        stack = np.random.default_rng(7).uniform(
+            0, 255, (3969, 16, 16)).astype(dtype)
+        tracemalloc.start()
+        try:
+            out = forward_all(stack, F)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 2.5 * 2 ** 20
 
     @pytest.mark.parametrize("m", [8, 16])
     def test_inverse_stack_matches_single(self, m):
@@ -119,3 +169,36 @@ def test_constant_free_rows_annihilate_constants():
         F = build_ghm_matrix(m)
         rows = constant_free_rows(m)
         assert np.abs(F[list(rows)].sum(axis=1)).max() < 1e-12
+
+
+_THREADS_SCRIPT = """
+import hashlib
+from mwdenoise import (DenoiseConfig, add_awgn, build_ghm_matrix, build_grid,
+                       ct_phantom, denoise_image, extract_windows,
+                       forward_all)
+h = hashlib.sha256()
+noisy = add_awgn(ct_phantom(512), 20, 1)
+h.update(forward_all(extract_windows(noisy, build_grid(noisy, 16, 8)),
+                     build_ghm_matrix(16)).tobytes())
+noisy = add_awgn(ct_phantom(64), 15, 0)
+for engine in ("exhaustive", "ga"):
+    out, stats = denoise_image(noisy, DenoiseConfig(
+        m=8, s_size=4, engine=engine, sigma=15.0, threshold_scale=0.25))
+    h.update(out.tobytes())
+    h.update(repr(stats.distance_evals).encode())
+print(h.hexdigest())
+"""
+
+
+def test_outputs_independent_of_blas_threads():
+    src = str(Path(mwdenoise.__file__).parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT],
+                             env=env, capture_output=True, text=True,
+                             check=True)
+        digests.append(run.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]

@@ -339,6 +339,22 @@ class TestValidation:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             DenoiseConfig(engine="exhaustive", seed=-1)
 
+    @pytest.mark.parametrize("m", [4, 0, 10])
+    def test_bad_window_size_rejected_at_config(self, m):
+        # the transform's own rule, before any grid is built
+        with pytest.raises(ValueError, match=f"transform size must be a "
+                                             f"multiple of 4 and >= 8, "
+                                             f"got {m}"):
+            DenoiseConfig(m=m, s_size=1)
+
+    @pytest.mark.parametrize("s_size", [0, -1, 9])
+    def test_bad_step_rejected_at_config(self, s_size):
+        with pytest.raises(ValueError, match=f"s_size must be in "
+                                             f"\\[1, m=8\\], got {s_size}"):
+            DenoiseConfig(m=8, s_size=s_size)
+        DenoiseConfig(m=8, s_size=8)
+        DenoiseConfig(m=8, s_size=1)
+
     def test_ga_defaults_from_ga_params(self):
         assert DenoiseConfig().ga_params(np.inf) == GaParams()
 
