@@ -23,12 +23,10 @@ distance cache a (rows, n_w) array, NaN where a window is not priced yet.
 The operators and `DistanceCache.lookup` work on whole rows; a 1-D gene
 string drawing from a numpy `Generator` is their one-row case. A row
 leaves the block after the generation its lone run would have stopped at.
-A row marked settled (its gate passes fewer than n_c windows, so no search
-can fill its archive) is priced in full first and leaves after generation
-1 with the exact answer: its gated windows, then the fallback fill.
 `ga_select` turns a row's search into its closest set (the archive read
 off the cache, the fallback fill, the trace records); without a search it
-runs the one-row block, folding each generation as it goes.
+runs the one-row block, folding each generation as it goes. A short row's
+search is a cache row priced from its Gram shortlist (see `pipeline`).
 
 Draws. Each draw is a pure function of its address,
 `mix(key, op, generation, string, position, try) % n_w`, a splitmix64-style
@@ -116,9 +114,9 @@ class BestSet:
 
 class DistanceCache:
     """Memoized distances from one reference window (an int `ref_idx`) or
-    from each of a block of them (a sequence); each pair costs one
-    evaluation. `values` holds one row per reference, NaN where a window
-    is not priced yet, and `evaluations` one count per row."""
+    from each of a block of them (a sequence). `values` holds one row per
+    reference, NaN where a window is not priced yet, and `evaluations` one
+    count per row: one per pair priced, n_w for a Gram shortlist's row."""
 
     def __init__(self, coeffs: np.ndarray, ref_idx):
         self.flat = coeffs.reshape(len(coeffs), -1)
@@ -335,7 +333,7 @@ def mutate(genes: np.ndarray, mask: np.ndarray, rng, n_w: int,
 
 def update_best_set(best: BestSet, population, l2_t: float,
                     n_c: int) -> BestSet:
-    """Fold every gated gene in the population into the archive.
+    """Fold every gated gene of a non-empty population into the archive.
 
     Keeps the n_c smallest distances, by (distance, index), over the union
     of the current archive and all genes with distance strictly below l2_t;
@@ -344,16 +342,13 @@ def update_best_set(best: BestSet, population, l2_t: float,
     and a window has one distance wherever it appears. It returns `best`
     itself when no gated gene outside it can rank among the n_c kept.
     """
-    if population:
-        dists = np.concatenate([c.dists for c in population])
-        near = passes_gate(dists, l2_t)
-        if len(best) == n_c:
-            # a full archive admits nothing beyond its farthest member
-            near &= dists <= best.dists[-1]
-        fresh = np.concatenate([c.genes for c in population])[near]
-        dists = dists[near]
-    else:
-        fresh, dists = best.indices[:0], best.dists[:0]
+    dists = np.concatenate([c.dists for c in population])
+    near = passes_gate(dists, l2_t)
+    if len(best) == n_c:
+        # a full archive admits nothing beyond its farthest member
+        near &= dists <= best.dists[-1]
+    fresh = np.concatenate([c.genes for c in population])[near]
+    dists = dists[near]
     if len(best) <= n_c and set(fresh.tolist()) <= set(best.indices.tolist()):
         return best
     indices = np.concatenate([best.indices, fresh])
@@ -395,27 +390,23 @@ def ref_blocks(n_w: int) -> list:
 
 
 def search_block(coeffs: np.ndarray, refs, p: GaParams,
-                 record: bool = False, live: bool = False,
-                 settled=None) -> list:
+                 record: bool = False, live: bool = False) -> list:
     """Run the GA for the reference windows `refs` in lockstep; one
     GaSearch per reference, in order.
 
     Each row runs exactly the generations it would run alone, keyed by
     its own `ref_stream`. `record` keeps the per-generation trace records.
     `live` folds each generation's population, before and after mutation,
-    through `update_best_set`, as a lone run's archive is kept. A row
-    marked in the mask `settled` (one whose gate passes fewer than n_c
-    windows) is priced in full first, so it stops after generation 1.
+    through `update_best_set`, as a lone run's archive is kept.
     """
+    if not len(refs):
+        return []
     cache = DistanceCache(coeffs, refs)
     n_w, n_c, half = cache.n_w, p.n_c, p.n_p // 2
     keys = np.concatenate([_keys(ref_stream(p.seed, r))
                            for r in cache.refs.tolist()])
     rows = np.arange(len(cache.refs))   # the block rows still running
     cache.lookup(cache.refs[:, None], rows)   # each reference itself first
-    if settled is not None:
-        full = rows[settled]
-        cache.lookup(np.broadcast_to(np.arange(n_w), (len(full), n_w)), full)
     genes, dists = init_population(cache, p, keys)
     fit = _mean(dists)
     searches = [GaSearch(cache, i, BestSet(r))
@@ -477,9 +468,9 @@ def ga_select(ref_idx: int, coeffs: np.ndarray, p: GaParams,
     still short after the round cap, the closest windows ever evaluated
     fill the rest, whatever the threshold, and the result is a fallback.
 
-    `search` is this reference's run from `search_block`; without it the
-    GA runs here, as a one-row block whose archive is folded live. `trace`
-    gets (generation, best fitness, archive size) once per generation.
+    `search` is this reference's run from `search_block`; without it the GA
+    runs here as a one-row block, folded live. `trace` gets (generation,
+    best fitness, archive size) per generation run: none for a short row.
     """
     if search is None:
         search = search_block(coeffs, [ref_idx], p,

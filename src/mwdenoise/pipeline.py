@@ -2,14 +2,14 @@
 transform-domain thresholding and overlap aggregation.
 
 The engine (exhaustive scan or GA search) picks each window's closest
-windows. The GA first finds the windows whose gate passes fewer than n_c
-windows (`short_rows`); no search can fill their archives, so they are
-priced in full and searched for one generation, which gives each its
-exact closest set. The members that pass the gate, self excluded, fill a
-selection table of (n_w, n_c) indices in selection order with a count per
-row. Blocks of windows (`ga.ref_blocks`) are then averaged with their
-members, summed a column at a time, shrunk in the detail bands, inverted
-and overlap-added in window order.
+windows. The GA prices each window's Gram shortlist first (`short_rows`):
+a short row, whose gate passes fewer than n_c windows, can never fill its
+archive, so its exact closest set is read off its shortlist, and only the
+other rows are searched. The members that pass the gate, self excluded,
+fill a selection table of (n_w, n_c) indices in selection order with a
+count per row. Blocks of windows (`ga.ref_blocks`) are then averaged with
+their members, summed a column at a time, shrunk in the detail bands,
+inverted and overlap-added in window order.
 """
 
 import math
@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ga, ghm
-from .ga import GaParams, ga_select
+from .ga import BestSet, DistanceCache, GaParams, GaSearch, ga_select
 from .image_io import PEAK
-from .selection import (SelectionParams, distances_from, exhaustive_select,
-                        gram_shortlist, noise_gate, passes_gate)
+from .selection import (SelectionParams, exhaustive_select, gram_shortlist,
+                        noise_gate, passes_gate)
 from .windows import build_grid, extract_windows, origin_of
 
 ENGINES = ("exhaustive", "ga")
@@ -176,7 +176,8 @@ def denoise_image(noisy, cfg: DenoiseConfig, trace=None, threads: int = 1):
     runs on one thread whatever `threads` is: its steps are short numpy
     calls that hold the interpreter lock, and on two cores a thread pool
     made both a 512x512 scan and a 96x96 GA image about 1.5x slower.
-    GA trace records come in window order, then generation order.
+    GA trace records come in window order, then generation order; a short
+    row runs no generation, so it gives none.
     """
     start = time.perf_counter()
     if threads < 1:
@@ -209,8 +210,11 @@ def denoise_image(noisy, cfg: DenoiseConfig, trace=None, threads: int = 1):
                    enumerate(gram_shortlist(coeffs, params)))
     else:
         p = cfg.ga_params(l2_t)
-        short = short_rows(coeffs, p)
-        closest = _ga_closest_sets(coeffs, p, short, trace)
+        lists = gram_shortlist(coeffs, SelectionParams(n_c=p.n_c))
+        blocks = [ga_closest_sets(coeffs, refs, lists, p, trace)
+                  for refs in ga.ref_blocks(geom.n_w)]
+        closest = [found for sets, _ in blocks for found in sets]
+        short = np.concatenate([s for _, s in blocks])
 
     # fallback-filled members failed the distance gate; averaging them in
     # would mix dissimilar content into the estimate
@@ -247,38 +251,42 @@ def denoise_image(noisy, cfg: DenoiseConfig, trace=None, threads: int = 1):
     return out, stats
 
 
-def short_rows(coeffs: np.ndarray, p: GaParams) -> np.ndarray:
-    """Whether each window's gate passes fewer than n_c windows.
+def short_rows(coeffs: np.ndarray, refs: np.ndarray, shortlists: list,
+               p: GaParams):
+    """(cache, short) for the reference windows `refs`: a DistanceCache
+    row per reference holding its priced shortlist (padded to the block's
+    width with its own entries; `lookup` prices each pair once), and
+    whether fewer than n_c of that shortlist pass `passes_gate`.
 
-    Such a row's archive can never fill, so its GA answer is the exact one
-    once every window is priced. Ungated shortlists (`gram_shortlist`)
-    hold each window's exact top n_c, and the gate is monotone in
-    distance, so a row is short exactly when fewer than n_c of its
-    shortlist pass `passes_gate`. The shortlist pairs are priced with the
-    canonical kernel, ga.PRICE_ENTRIES coefficients at a time.
+    Ungated shortlists (`gram_shortlist`) hold each window's exact top
+    n_c, ties included, and the gate is monotone in distance. So a short
+    row's gate passes fewer than n_c windows, its archive can never fill,
+    and its cache row holds all that its GA answer reads. The Gram priced
+    every pair, so such a row reports n_w evaluations.
     """
-    lists = gram_shortlist(coeffs, SelectionParams(n_c=p.n_c))
-    refs = np.repeat(np.arange(len(lists)), [len(c) for c in lists])
-    cands = np.concatenate(lists)
-    passed = np.empty(len(refs), bool)
-    step = max(1, ga.PRICE_ENTRIES // coeffs[0].size)
-    for lo in range(0, len(refs), step):
-        at = slice(lo, lo + step)
-        passed[at] = passes_gate(distances_from(coeffs, refs[at], cands[at]),
-                                 p.l2_t)
-    return np.bincount(refs[passed], minlength=len(lists)) < p.n_c
+    cache = DistanceCache(coeffs, refs)
+    width = max(len(shortlists[r]) for r in refs.tolist())
+    cache.lookup(np.stack([np.resize(shortlists[r], width)
+                           for r in refs.tolist()]), np.arange(len(refs)))
+    short = np.count_nonzero(passes_gate(cache.values, p.l2_t),
+                             axis=1) < p.n_c
+    cache.evaluations[short] = cache.n_w
+    return cache, short
 
 
-def _ga_closest_sets(coeffs, p: GaParams, short, trace):
-    """Every window's GA closest set, in window order.
+def ga_closest_sets(coeffs: np.ndarray, refs: np.ndarray, shortlists: list,
+                    p: GaParams, trace=None):
+    """(closest sets, short) for the reference windows `refs`, in order.
 
-    The reference windows are searched in blocks; the `short` rows are
-    priced in full and searched for one generation only. Each window's
-    closest set then comes from `ga_select`, which replays its trace
-    records.
+    The short rows (`short_rows`) are answered from their cache rows; the
+    others are searched in one block. Every closest set comes from
+    `ga_select`, which replays a searched row's trace records.
     """
-    for refs in ga.ref_blocks(len(coeffs)):
-        for search in ga.search_block(coeffs, refs, p,
-                                      record=trace is not None,
-                                      settled=short[refs]):
-            yield ga_select(search.ref_idx, coeffs, p, trace, search=search)
+    cache, short = short_rows(coeffs, refs, shortlists, p)
+    searches = iter(ga.search_block(coeffs, refs[~short], p,
+                                    record=trace is not None))
+    sets = []
+    for i, r in enumerate(refs.tolist()):
+        search = GaSearch(cache, i, BestSet(r)) if short[i] else next(searches)
+        sets.append(ga_select(r, coeffs, p, trace, search=search))
+    return sets, short

@@ -101,7 +101,9 @@ class TestDenoise:
 
     def test_ga_trace_deterministic(self, tmp_path, capsys):
         src = tmp_path / "in.pgm"
-        save_pgm(add_awgn(ct_phantom(48), 15, 0), src)
+        # at 48 px every row is short and runs no generation; at 64 some
+        # rows search
+        save_pgm(add_awgn(ct_phantom(64), 15, 0), src)
         streams = []
         for tag in ("a", "b"):
             assert main(["denoise", str(src), str(tmp_path / f"{tag}.pgm"),

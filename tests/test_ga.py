@@ -653,37 +653,11 @@ class TestBlockSearch:
             assert [r[0] for r in replayed] == \
                 list(range(1, len(replayed) + 1))
 
-    def test_settled_all_false_is_a_plain_search(self, coeffs):
+    def test_empty_block(self, coeffs):
         p = GaParams(l2_t=GATE15, seed=3)
-        refs = np.arange(0, 225, 9)
-        plain = search_block(coeffs, refs, p, record=True)
-        unsettled = search_block(coeffs, refs, p, record=True,
-                                 settled=np.zeros(len(refs), bool))
-        assert plain[0].cache.values.tobytes() == \
-            unsettled[0].cache.values.tobytes()
-        for a, b in zip(plain, unsettled):
-            assert (a.evaluations, a.fitness, a.archive_sizes) == \
-                (b.evaluations, b.fitness, b.archive_sizes)
-
-    def test_settled_rows_priced_in_full_stop_after_one_generation(
-            self, coeffs):
-        # the other rows of the block run as they would alone
-        p = GaParams(l2_t=GATE15, seed=3)
-        refs = np.arange(0, 225, 9)
-        settled = np.arange(len(refs)) % 3 == 0
-        plain = search_block(coeffs, refs, p, record=True)
-        searches = search_block(coeffs, refs, p, record=True,
-                                settled=settled)
-        for a, b, flag in zip(plain, searches, settled):
-            if flag:
-                assert b.evaluations == len(coeffs)
-                assert len(b.fitness) == len(b.archive_sizes) == 1
-                assert b.fitness[0] == a.fitness[0]
-            else:
-                assert (a.evaluations, a.fitness) == (b.evaluations,
-                                                      b.fitness)
-                assert a.cache.values[a.row].tobytes() == \
-                    b.cache.values[b.row].tobytes()
+        assert search_block(coeffs, [], p) == []
+        assert search_block(coeffs, np.arange(0), p, record=True,
+                            live=True) == []
 
     def test_search_of_another_reference_rejected(self, coeffs):
         p = GaParams(n_c=4, c_p1=1, c_p2=2, l2_t=BIG, seed=0)

@@ -13,7 +13,8 @@ from mwdenoise.pipeline import (Accumulator, DenoiseConfig, denoise_image,
                                 denoise_window, short_rows, sigma_from_coeffs,
                                 soft_threshold, universal_threshold)
 from mwdenoise.selection import (SelectionParams, distances_from,
-                                 exhaustive_select, noise_gate)
+                                 exhaustive_select, gram_shortlist,
+                                 noise_gate)
 from mwdenoise.windows import build_grid, extract_windows, origin_of
 
 
@@ -247,44 +248,46 @@ class TestDenoiseImage:
         assert s1.distance_evals == s2.distance_evals
 
     def test_ga_trace_independent_of_threads(self, monkeypatch):
-        # records come in window order, then generation order: one
-        # generation per settled row, every generation of a searched one.
-        # Every row of the 48-px image is settled; at 64 px some search.
-        searches, settled = [], []
-        block = ga_mod.search_block
+        # records come in window order, then generation order: none for a
+        # short row, which runs no generation, and generations 1..g for a
+        # searched one. Every row of the 48-px image is short; at 64 px
+        # some search.
+        calls, records = [], []
+        select = pipeline_mod.ga_select
 
-        def spy(*args, **kwargs):
-            settled.extend(kwargs["settled"].tolist())
-            found = block(*args, **kwargs)
-            searches.extend(found)
+        def spy(ref_idx, *args, **kwargs):
+            before = len(records)
+            found = select(ref_idx, *args, **kwargs)
+            calls.append((ref_idx, [r[0] for r in records[before:]]))
             return found
 
-        monkeypatch.setattr(ga_mod, "search_block", spy)
-        for size, all_settled in ((48, True), (64, False)):
+        monkeypatch.setattr(pipeline_mod, "ga_select", spy)
+        for size, all_short in ((48, True), (64, False)):
             noisy = add_awgn(ct_phantom(size), 15, 3)
             cfg = DenoiseConfig(m=8, s_size=4, engine="ga", sigma=15.0,
                                 threshold_scale=0.25, seed=1)
+            coeffs = window_coeffs(noisy)
+            n_w = len(coeffs)
+            short = [np.count_nonzero(distances_from(coeffs, r)
+                                      < noise_gate(15.0, 8)) < cfg.n_c
+                     for r in range(n_w)]
             traces = []
             for threads in (1, 3):
-                records, searches[:], settled[:] = [], [], []
+                records[:], calls[:] = [], []
                 denoise_image(noisy, cfg, threads=threads,
                               trace=lambda *rec: records.append(rec))
-                traces.append(records)
+                traces.append(records[:])
             assert traces[0] == traces[1]
-            counts = [len(s.fitness) for s in searches]
-            assert [s.ref_idx for s in searches] == list(range(len(counts)))
-            assert len(counts) == build_grid(noisy, 8, 4).n_w
-            assert len(traces[0]) == sum(counts)
-            gens = [r[0] for r in traces[0]]
-            at = np.cumsum([0] + counts)
-            for k, (lo, hi) in enumerate(zip(at, at[1:])):
-                assert gens[lo:hi] == list(range(1, hi - lo + 1))
-                if settled[k]:
-                    assert hi - lo == 1
-            assert all(settled) == all_settled
-            assert any(settled)
-            if not all_settled:
-                assert max(counts) > 1
+            assert [r for r, _ in calls] == list(range(n_w))
+            assert [g for _, gens in calls for g in gens] == \
+                [r[0] for r in records]
+            for (_, gens), is_short in zip(calls, short):
+                assert gens == ([] if is_short else
+                                list(range(1, len(gens) + 1)))
+                assert is_short or gens
+            assert all(short) == all_short and any(short)
+            if not all_short:
+                assert max(len(gens) for _, gens in calls) > 1
 
     def test_sigma_estimated_when_unknown(self):
         noisy = add_awgn(ct_phantom(64), 20, 4)
@@ -513,28 +516,36 @@ def tiled(size, seed):
 
 
 class TestShortRows:
-    """A window whose gate passes fewer than n_c windows is priced in full
-    and searched for one generation; its closest set is the scan's top n_c
-    without a gate, with the gated count and n_w evaluations."""
+    """A window whose gate passes fewer than n_c windows is never searched:
+    its closest set, read off its priced Gram shortlist, is the scan's top
+    n_c without a gate, with the gated count and n_w evaluations."""
 
     BASE = dict(m=8, s_size=4, engine="ga", sigma=15.0, threshold_scale=0.25,
                 seed=1)
 
     def closest_sets(self, monkeypatch, noisy, cfg):
-        found = []
-        select = pipeline_mod.ga_select
+        """The closest sets of a denoise, the reference of each ga_select
+        call and the references passed to ga.search_block, in call order."""
+        found, selected, searched = [], [], []
+        select, block = pipeline_mod.ga_select, ga_mod.search_block
 
-        def spy(*args, **kwargs):
-            found.append(select(*args, **kwargs))
+        def spy(ref_idx, *args, **kwargs):
+            selected.append(ref_idx)
+            found.append(select(ref_idx, *args, **kwargs))
             return found[-1]
+
+        def search_spy(coeffs, refs, *args, **kwargs):
+            searched.extend(np.asarray(refs).tolist())
+            return block(coeffs, refs, *args, **kwargs)
 
         def scan(*args, **kwargs):
             raise AssertionError("the GA path ran the exhaustive scan")
 
         monkeypatch.setattr(pipeline_mod, "ga_select", spy)
+        monkeypatch.setattr(ga_mod, "search_block", search_spy)
         monkeypatch.setattr(pipeline_mod, "exhaustive_select", scan)
         denoise_image(noisy, cfg)
-        return found
+        return found, selected, searched
 
     @pytest.mark.parametrize("case", ["phantom", "tied", "at-gate",
                                       "all-short"])
@@ -556,9 +567,20 @@ class TestShortRows:
                           for r in range(n_w)])
         short = gated < cfg.n_c
         p = cfg.ga_params(l2_t)
-        assert np.array_equal(short_rows(coeffs, p), short)
-        found = self.closest_sets(monkeypatch, noisy, cfg)
-        assert [c.ref_idx for c in found] == list(range(n_w))
+        lists = gram_shortlist(coeffs, SelectionParams(n_c=cfg.n_c))
+        classified = [short_rows(coeffs, refs, lists, p)
+                      for refs in ga_mod.ref_blocks(n_w)]
+        assert np.array_equal(
+            np.concatenate([s for _, s in classified]), short)
+        for cache, s in classified:
+            assert (cache.evaluations[s] == n_w).all()
+        found, selected, searched = self.closest_sets(monkeypatch, noisy,
+                                                      cfg)
+        # ga_select once per window, in window order; search_block only
+        # for the rows that are not short, each once
+        assert selected == [c.ref_idx for c in found] == list(range(n_w))
+        assert sorted(searched) == np.flatnonzero(~short).tolist()
+        assert not short[searched].any()
         exact = SelectionParams(n_c=cfg.n_c)
         for r in np.flatnonzero(short).tolist():
             want = exhaustive_select(r, coeffs, exact)
@@ -576,3 +598,20 @@ class TestShortRows:
             assert found[0].distances[15] == l2_t
         elif case == "all-short":
             assert short.all() and (gated == 1).all()
+
+    def test_padded_shortlists_priced_once(self):
+        # the tied image's shortlists differ in length, so most are padded
+        # with their own entries; each pair is still priced, and counted,
+        # once, with the canonical kernel's bits
+        coeffs = window_coeffs(tiled(32, 5))
+        lists = gram_shortlist(coeffs, SelectionParams(n_c=16))
+        assert len({len(c) for c in lists}) > 1
+        cache, short = short_rows(coeffs, np.arange(len(coeffs)), lists,
+                                  GaParams())
+        assert not short.any()   # no gate: every shortlist passes
+        assert cache.evaluations.tolist() == [len(c) for c in lists]
+        for r, c in enumerate(lists):
+            assert np.flatnonzero(~np.isnan(cache.values[r])).tolist() == \
+                sorted(c.tolist())
+            assert cache.values[r, c].tobytes() == \
+                distances_from(coeffs, r, c).tobytes()
