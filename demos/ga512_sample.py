@@ -4,13 +4,13 @@ A full GA denoise of a 512x512 slice takes tens of seconds, too long to
 repeat when comparing two versions of the code. This runs the GA, as the
 pipeline does, for every 15th window of the paper's geometry (m=16,
 s_size=8, n_w = 3969): 264 references by default, searched in blocks of
-the row count the image's own blocks get. As in the pipeline, the Gram
-shortlists are built once for the whole image, and each sample block is
-classified and answered by `pipeline.ga_closest_sets`: its short rows are
-read off their shortlists and the others searched. It prints the
-shortlist and block seconds, the short count, the distance evaluations
-and a sha256 over each closest set's index and distance bytes, so two
-runs compare both time and results:
+the row count the image's own blocks get. `pipeline.ga_closest_sets`
+builds the Gram shortlists once for the whole image, as in a denoise, and
+answers each sample block: its short rows are read off their shortlists
+and the others searched. It prints the seconds this takes (the shortlists
+included), the short count, the distance evaluations and a sha256 over
+each closest set's index and distance bytes, so two runs compare both
+time and results:
 
     PYTHONPATH=src python demos/ga512_sample.py [--refs N]
 """
@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from mwdenoise import add_awgn, ct_phantom, ga, ghm, pipeline
-from mwdenoise.selection import SelectionParams, gram_shortlist, noise_gate
+from mwdenoise.selection import noise_gate
 from mwdenoise.windows import build_grid, extract_windows
 
 SIGMA, M, S_SIZE = 20.0, 16, 8
@@ -42,22 +42,16 @@ sample = sample[:args.refs]
 rows = max(len(b) for b in ga.ref_blocks(len(coeffs)))
 p = ga.GaParams(l2_t=noise_gate(SIGMA, M), seed=0)
 
-start = time.perf_counter()
-lists = gram_shortlist(coeffs, SelectionParams(n_c=p.n_c))
-shortlist_s = time.perf_counter() - start
-
 digest = hashlib.sha256()
-evaluations = short = 0
 start = time.perf_counter()
-for refs in np.array_split(sample, -(-len(sample) // rows)):
-    sets, is_short = pipeline.ga_closest_sets(coeffs, refs, lists, p)
-    short += int(is_short.sum())
-    for found in sets:
-        digest.update(found.indices.tobytes())
-        digest.update(found.distances.tobytes())
-        evaluations += found.evaluations
+sets, short = pipeline.ga_closest_sets(
+    coeffs, p, np.array_split(sample, -(-len(sample) // rows)))
 seconds = time.perf_counter() - start
+for found in sets:
+    digest.update(found.indices.tobytes())
+    digest.update(found.distances.tobytes())
 
-print(f"refs={len(sample)} block_rows={rows} short={short} "
-      f"shortlist_s={shortlist_s:.3f} seconds={seconds:.3f} "
-      f"evaluations={evaluations} sha256={digest.hexdigest()}")
+print(f"refs={len(sample)} block_rows={rows} short={short.sum()} "
+      f"seconds={seconds:.3f} "
+      f"evaluations={sum(found.evaluations for found in sets)} "
+      f"sha256={digest.hexdigest()}")

@@ -2,14 +2,15 @@
 transform-domain thresholding and overlap aggregation.
 
 The engine (exhaustive scan or GA search) picks each window's closest
-windows. The GA prices each window's Gram shortlist first (`short_rows`):
-a short row, whose gate passes fewer than n_c windows, can never fill its
-archive, so its exact closest set is read off its shortlist, and only the
-other rows are searched. The members that pass the gate, self excluded,
-fill a selection table of (n_w, n_c) indices in selection order with a
-count per row. Blocks of windows (`ga.ref_blocks`) are then averaged with
-their members, summed a column at a time, shrunk in the detail bands,
-inverted and overlap-added in window order.
+windows. The GA prices each window's Gram shortlist first
+(`ga_closest_sets`): a short row, whose gate passes fewer than n_c
+windows, can never fill its archive, so its exact closest set is read off
+its shortlist, and only the other rows are searched. The members that
+pass the gate, self excluded, fill a selection table of (n_w, n_c)
+indices in selection order with a count per row. Blocks of windows
+(`ga.ref_blocks`) are then averaged with their members, summed a column
+at a time, shrunk in the detail bands, inverted and overlap-added in
+window order.
 """
 
 import math
@@ -209,12 +210,8 @@ def denoise_image(noisy, cfg: DenoiseConfig, trace=None, threads: int = 1):
                    for ref_idx, shortlist in
                    enumerate(gram_shortlist(coeffs, params)))
     else:
-        p = cfg.ga_params(l2_t)
-        lists = gram_shortlist(coeffs, SelectionParams(n_c=p.n_c))
-        blocks = [ga_closest_sets(coeffs, refs, lists, p, trace)
-                  for refs in ga.ref_blocks(geom.n_w)]
-        closest = [found for sets, _ in blocks for found in sets]
-        short = np.concatenate([s for _, s in blocks])
+        closest, short = ga_closest_sets(coeffs, cfg.ga_params(l2_t),
+                                         ga.ref_blocks(geom.n_w), trace)
 
     # fallback-filled members failed the distance gate; averaging them in
     # would mix dissimilar content into the estimate
@@ -251,42 +248,36 @@ def denoise_image(noisy, cfg: DenoiseConfig, trace=None, threads: int = 1):
     return out, stats
 
 
-def short_rows(coeffs: np.ndarray, refs: np.ndarray, shortlists: list,
-               p: GaParams):
-    """(cache, short) for the reference windows `refs`: a DistanceCache
-    row per reference holding its priced shortlist (padded to the block's
-    width with its own entries; `lookup` prices each pair once), and
-    whether fewer than n_c of that shortlist pass `passes_gate`.
+def ga_closest_sets(coeffs: np.ndarray, p: GaParams, blocks, trace=None):
+    """(closest sets, short) for the reference windows of `blocks` (index
+    arrays), in order; `short` marks each row whose gate passes fewer than
+    n_c windows.
 
     Ungated shortlists (`gram_shortlist`) hold each window's exact top
-    n_c, ties included, and the gate is monotone in distance. So a short
-    row's gate passes fewer than n_c windows, its archive can never fill,
-    and its cache row holds all that its GA answer reads. The Gram priced
-    every pair, so such a row reports n_w evaluations.
+    n_c, ties included, and the gate is monotone in distance. Per block,
+    each row's shortlist is priced into a DistanceCache row (padded to the
+    block's width with its own entries; `lookup` prices each pair once),
+    and a row is short when fewer than n_c of it pass `passes_gate`. A
+    short row's archive can never fill, and its cache row holds all that
+    its GA answer reads; the Gram priced every pair, so it reports n_w
+    evaluations. Only the other rows are searched. Every closest set comes
+    from `ga_select`, which replays a searched row's trace records.
     """
-    cache = DistanceCache(coeffs, refs)
-    width = max(len(shortlists[r]) for r in refs.tolist())
-    cache.lookup(np.stack([np.resize(shortlists[r], width)
-                           for r in refs.tolist()]), np.arange(len(refs)))
-    short = np.count_nonzero(passes_gate(cache.values, p.l2_t),
-                             axis=1) < p.n_c
-    cache.evaluations[short] = cache.n_w
-    return cache, short
-
-
-def ga_closest_sets(coeffs: np.ndarray, refs: np.ndarray, shortlists: list,
-                    p: GaParams, trace=None):
-    """(closest sets, short) for the reference windows `refs`, in order.
-
-    The short rows (`short_rows`) are answered from their cache rows; the
-    others are searched in one block. Every closest set comes from
-    `ga_select`, which replays a searched row's trace records.
-    """
-    cache, short = short_rows(coeffs, refs, shortlists, p)
-    searches = iter(ga.search_block(coeffs, refs[~short], p,
-                                    record=trace is not None))
-    sets = []
-    for i, r in enumerate(refs.tolist()):
-        search = GaSearch(cache, i, BestSet(r)) if short[i] else next(searches)
-        sets.append(ga_select(r, coeffs, p, trace, search=search))
-    return sets, short
+    shortlists = gram_shortlist(coeffs, SelectionParams(n_c=p.n_c))
+    sets, short = [], []
+    for refs in blocks:
+        cache = DistanceCache(coeffs, refs)
+        width = max(len(shortlists[r]) for r in refs.tolist())
+        cache.lookup(np.stack([np.resize(shortlists[r], width)
+                               for r in refs.tolist()]), np.arange(len(refs)))
+        is_short = np.count_nonzero(passes_gate(cache.values, p.l2_t),
+                                    axis=1) < p.n_c
+        cache.evaluations[is_short] = cache.n_w
+        searches = iter(ga.search_block(coeffs, refs[~is_short], p,
+                                        record=trace is not None))
+        for i, r in enumerate(refs.tolist()):
+            search = (GaSearch(cache, i, BestSet(r)) if is_short[i]
+                      else next(searches))
+            sets.append(ga_select(r, coeffs, p, trace, search=search))
+        short.append(is_short)
+    return sets, np.concatenate(short)

@@ -10,7 +10,7 @@ from mwdenoise.ga import GaParams
 from mwdenoise.image_io import add_awgn, psnr
 from mwdenoise.phantom import ct_phantom
 from mwdenoise.pipeline import (Accumulator, DenoiseConfig, denoise_image,
-                                denoise_window, short_rows, sigma_from_coeffs,
+                                denoise_window, sigma_from_coeffs,
                                 soft_threshold, universal_threshold)
 from mwdenoise.selection import (SelectionParams, distances_from,
                                  exhaustive_select, gram_shortlist,
@@ -566,14 +566,9 @@ class TestShortRows:
         gated = np.array([np.count_nonzero(distances_from(coeffs, r) < l2_t)
                           for r in range(n_w)])
         short = gated < cfg.n_c
-        p = cfg.ga_params(l2_t)
-        lists = gram_shortlist(coeffs, SelectionParams(n_c=cfg.n_c))
-        classified = [short_rows(coeffs, refs, lists, p)
-                      for refs in ga_mod.ref_blocks(n_w)]
-        assert np.array_equal(
-            np.concatenate([s for _, s in classified]), short)
-        for cache, s in classified:
-            assert (cache.evaluations[s] == n_w).all()
+        _, classified = pipeline_mod.ga_closest_sets(
+            coeffs, cfg.ga_params(l2_t), ga_mod.ref_blocks(n_w))
+        assert np.array_equal(classified, short)
         found, selected, searched = self.closest_sets(monkeypatch, noisy,
                                                       cfg)
         # ga_select once per window, in window order; search_block only
@@ -599,19 +594,34 @@ class TestShortRows:
         elif case == "all-short":
             assert short.all() and (gated == 1).all()
 
-    def test_padded_shortlists_priced_once(self):
+    def test_padded_shortlists_priced_once(self, monkeypatch):
         # the tied image's shortlists differ in length, so most are padded
-        # with their own entries; each pair is still priced, and counted,
-        # once, with the canonical kernel's bits
+        # with their own entries; with every row short (no class of tied
+        # windows fills n_c = 17), each pair is priced once, and a row's
+        # cache holds its shortlist alone, with the canonical kernel's bits
         coeffs = window_coeffs(tiled(32, 5))
-        lists = gram_shortlist(coeffs, SelectionParams(n_c=16))
+        p = GaParams(n_c=17, l2_t=1e-6)
+        lists = gram_shortlist(coeffs, SelectionParams(n_c=p.n_c))
         assert len({len(c) for c in lists}) > 1
-        cache, short = short_rows(coeffs, np.arange(len(coeffs)), lists,
-                                  GaParams())
-        assert not short.any()   # no gate: every shortlist passes
-        assert cache.evaluations.tolist() == [len(c) for c in lists]
+        priced, searches = [], {}
+        kernel, select = ga_mod.distances_from, pipeline_mod.ga_select
+
+        def count(flat, refs, cands):
+            priced.append(len(cands))
+            return kernel(flat, refs, cands)
+
+        def spy(ref_idx, *args, search, **kwargs):
+            searches[ref_idx] = search
+            return select(ref_idx, *args, search=search, **kwargs)
+
+        monkeypatch.setattr(ga_mod, "distances_from", count)
+        monkeypatch.setattr(pipeline_mod, "ga_select", spy)
+        _, short = pipeline_mod.ga_closest_sets(coeffs, p,
+                                                ga_mod.ref_blocks(len(lists)))
+        assert short.all()
+        assert sum(priced) == sum(len(c) for c in lists)
         for r, c in enumerate(lists):
-            assert np.flatnonzero(~np.isnan(cache.values[r])).tolist() == \
+            row = searches[r].cache.values[searches[r].row]
+            assert np.flatnonzero(~np.isnan(row)).tolist() == \
                 sorted(c.tolist())
-            assert cache.values[r, c].tobytes() == \
-                distances_from(coeffs, r, c).tobytes()
+            assert row[c].tobytes() == distances_from(coeffs, r, c).tobytes()
