@@ -40,9 +40,13 @@ the genes before it nor the old genes at it or after it. No draw depends
 on another row, so a block gives each row exactly its lone run;
 `tests/test_ga.py` checks that, and pins the draws with golden digests.
 
-Memory. A block holds at most GA_BLOCK_ROWS references (a 3.9 MB cache at
-512x512). `lookup` prices coefficients with the scan's kernel
-(`selection.distances_from`) and `_fill` checks genes, PRICE_ENTRIES at a time.
+Memory. A block's (rows, n_w) float64 cache holds at most GA_BLOCK_ENTRIES
+entries (4 MiB): all 529 rows of a 96x96 image at m=8, s_size=4, and 128
+or 129 rows at 512x512. `ref_blocks` splits an image's windows into the
+fewest near-equal blocks within that budget, so the fixed numpy cost of a
+block-generation is paid as few times as the memory allows. `lookup`
+prices coefficients with the scan's kernel (`selection.distances_from`)
+and `_fill` checks genes, PRICE_ENTRIES at a time.
 """
 
 from dataclasses import dataclass, field
@@ -51,7 +55,7 @@ import numpy as np
 
 from .selection import ClosestSet, distances_from, passes_gate, rank_ascending
 
-GA_BLOCK_ROWS = 128          # references per block, to share out overhead
+GA_BLOCK_ENTRIES = 2 ** 19   # cache entries per block, to share out overhead
 PRICE_ENTRIES = 2 ** 14      # coefficients priced, or genes checked, at once
 INIT, REPAIR, MUTATE = 0, 1, 2   # the `op` of a draw's address
 # splitmix64 Weyl steps and finalizer (0-d arrays apply faster than scalars)
@@ -134,17 +138,16 @@ class DistanceCache:
         `rows` gives the cache row of each leading entry of `genes`; None
         reads row 0, the one-reference case.
         """
-        genes = np.asarray(genes)
-        if rows is None:
-            rows = 0
-        elif np.ndim(rows):
-            rows = rows.reshape(rows.shape + (1,) * (genes.ndim - rows.ndim))
-        d = self.values[rows, genes]
+        at = np.asarray(genes)   # flat positions in `values`
+        if rows is not None:
+            rows = np.asarray(rows) * self.n_w
+            at = at + rows.reshape(rows.shape + (1,) * (at.ndim - rows.ndim))
+        d = self.values.take(at)
         miss = np.isnan(d)
-        if miss.any():
-            pairs = (rows * self.n_w + genes)[miss]
+        if np.count_nonzero(miss):   # faster than .any() on small arrays
+            want = pairs = at[miss]
             if len(pairs) > 1:   # each pair once; np.unique is slower
-                pairs.sort()
+                pairs = np.sort(pairs)
                 first = np.ones(len(pairs), bool)
                 np.not_equal(pairs[1:], pairs[:-1], out=first[1:])
                 pairs = pairs[first]
@@ -154,7 +157,7 @@ class DistanceCache:
                 r, g = rr[lo:lo + step], gg[lo:lo + step]
                 self.values[r, g] = distances_from(self.flat, self.refs[r], g)
             self.evaluations += np.bincount(rr, minlength=len(self.refs))
-            d = self.values[rows, genes]
+            d[miss] = self.values.take(want)
         return d
 
     def evaluated(self, row: int = 0):
@@ -180,7 +183,9 @@ def _draws_at(rng, op: int, generation: int, n_w: int):
     window, the splitmix64 finalizer of the row's key plus each field times
     its Weyl step (mod 2^64), mod n_w."""
     keys = _keys(rng)
-    offset = np.uint64((op * _STEPS[0] + generation * _STEPS[1]) % 2 ** 64)
+    offset = np.array((op * _STEPS[0] + generation * _STEPS[1]) % 2 ** 64,
+                      np.uint64)
+    n_w = np.array(n_w, np.uint64)
 
     def draws(r, s, q, t):
         z = keys[r] + offset
@@ -192,7 +197,7 @@ def _draws_at(rng, op: int, generation: int, n_w: int):
         z ^= z >> _SHIFT2
         z *= _MUL2
         z ^= z >> _SHIFT3
-        z %= np.uint64(n_w)
+        z %= n_w
         return z.view(np.int64)
     return draws
 
@@ -217,10 +222,11 @@ def _fill(genes: np.ndarray, todo: np.ndarray, old: np.ndarray, draws):
     while True:
         e = []   # the entries that clash, in order
         for lo in range(0, len(q), step):
-            ii, vv = i[lo:lo + step], v[lo:lo + step, None]
-            before = pos < q[lo:lo + step, None]
-            e.append(lo + np.nonzero((genes.take(ii, 0) == vv) & before
-                                     | (old.take(ii, 0) == vv) & ~before)[0])
+            ii = i[lo:lo + step]
+            seen = np.where(pos < q[lo:lo + step, None], genes.take(ii, 0),
+                            old.take(ii, 0))
+            e.append(lo + np.logical_or.reduce(
+                seen == v[lo:lo + step, None], axis=1).nonzero()[0])
         e = np.concatenate(e)
         if not len(e):
             return
@@ -385,8 +391,11 @@ class GaSearch:
 
 
 def ref_blocks(n_w: int) -> list:
-    """The fewest near-equal consecutive blocks of <= GA_BLOCK_ROWS rows."""
-    return np.array_split(np.arange(n_w), -(-n_w // GA_BLOCK_ROWS))
+    """The fewest near-equal consecutive blocks of the n_w windows whose
+    (rows, n_w) cache holds at most GA_BLOCK_ENTRIES entries; 1-row blocks
+    when n_w alone exceeds it."""
+    rows = max(1, GA_BLOCK_ENTRIES // n_w)
+    return np.array_split(np.arange(n_w), -(-n_w // rows))
 
 
 def search_block(coeffs: np.ndarray, refs, p: GaParams,
@@ -438,7 +447,7 @@ def search_block(coeffs: np.ndarray, refs, p: GaParams,
                                size.tolist()):
                 searches[r].fitness.append(f)
                 searches[r].archive_sizes.append(z)
-        if done.any():
+        if np.count_nonzero(done):
             keep = ~done
             rows, genes, fit = rows[keep], genes[keep], fit[keep]
             keys, ar = keys[keep], ar[:len(rows)]
@@ -482,19 +491,17 @@ def ga_select(ref_idx: int, coeffs: np.ndarray, p: GaParams,
         for generation, (fit, size) in enumerate(
                 zip(search.fitness, search.archive_sizes), 1):
             trace(generation, fit, size)
+    # the n_c best evaluated windows by (distance, index): the gate is
+    # monotone in distance, so the gated ones lead and the fallback's follow
     idx, dst = search.cache.evaluated(search.row)
-    gate = passes_gate(dst, p.l2_t)
+    order = rank_ascending(idx, dst)[:p.n_c]
+    idx, dst = idx[order], dst[order]
+    gated = int(np.count_nonzero(passes_gate(dst, p.l2_t)))
+    # the archive holds gated windows of the cache, so folding the cache's
+    # best into it gives them back
     best = update_best_set(search.archive,
-                           [Chromosome(idx[gate], dst[gate], np.nan)],
+                           [Chromosome(idx[:gated], dst[:gated], np.nan)],
                            p.l2_t, p.n_c)
-    gated = len(best)
-    if gated < p.n_c:
-        fresh = ~np.isin(idx, best.indices)
-        idx, dst = idx[fresh], dst[fresh]
-        order = rank_ascending(idx, dst)[:p.n_c - gated]
-        indices = np.concatenate([best.indices, idx[order]]).astype(np.int64)
-        dists = np.concatenate([best.dists, dst[order]])
-    else:
-        indices, dists = best.indices, best.dists
-    return ClosestSet(ref_idx, indices, dists, search.evaluations,
-                      gated=gated)
+    return ClosestSet(ref_idx, np.concatenate([best.indices, idx[gated:]]),
+                      np.concatenate([best.dists, dst[gated:]]),
+                      search.evaluations, gated=len(best))

@@ -1,16 +1,18 @@
 """The full denoiser: window transform, closer-window selection,
 transform-domain thresholding and overlap aggregation.
 
-The engine (exhaustive scan or GA search) picks each window's closest
-windows. The GA prices each window's Gram shortlist first
-(`ga_closest_sets`): a short row, whose gate passes fewer than n_c
-windows, can never fill its archive, so its exact closest set is read off
-its shortlist, and only the other rows are searched. The members that
-pass the gate, self excluded, fill a selection table of (n_w, n_c)
-indices in selection order with a count per row. Blocks of windows
-(`ga.ref_blocks`) are then averaged with their members, summed a column
-at a time, shrunk in the detail bands, inverted and overlap-added in
-window order.
+The work runs on blocks of windows (`ga.ref_blocks`): the fewest
+near-equal blocks whose (rows, n_w) GA distance cache fits a 4 MiB
+budget, one block for a 96x96 image at m=8, s_size=4. The engine
+(exhaustive scan or GA search) picks each window's closest windows. The
+GA prices each window's Gram shortlist first (`ga_closest_sets`), a block
+at a time: a short row, whose gate passes fewer than n_c windows, can
+never fill its archive, so its exact closest set is read off its
+shortlist, and the block's other rows are searched in lockstep. The
+members that pass the gate, self excluded, fill a selection table of
+(n_w, n_c) indices in selection order with a count per row. Each block is
+then averaged with its members, summed a column at a time, shrunk in the
+detail bands, inverted and overlap-added in window order.
 """
 
 import math
@@ -97,6 +99,7 @@ class RunStats:
     psnr_in: float | None = None
     psnr_out: float | None = None
     short_rows: int | None = None   # GA: windows whose gate passes < n_c
+    block_rows: int | None = None   # GA: rows of its largest search block
 
     def as_block(self) -> str:
         """Flat key=value rendering, one field per line."""
@@ -109,6 +112,8 @@ class RunStats:
                  ("wall_ms", f"{self.wall_ms:.1f}"), ("seed", self.seed)]
         if self.short_rows is not None:
             pairs.append(("short_rows", self.short_rows))
+        if self.block_rows is not None:
+            pairs.append(("block_rows", self.block_rows))
         return "\n".join(f"{k}={v}" for k, v in pairs)
 
 
@@ -203,15 +208,18 @@ def denoise_image(noisy, cfg: DenoiseConfig, trace=None, threads: int = 1):
     t = universal_threshold(sigma, cfg.m, cfg.threshold_scale)
     l2_t = cfg.l2_t if cfg.l2_t is not None else noise_gate(sigma, cfg.m)
 
-    short = None
+    blocks = ga.ref_blocks(geom.n_w)
+    short = block_rows = None
     if cfg.engine == "exhaustive":
         params = cfg.selection_params(l2_t)
         closest = (exhaustive_select(ref_idx, coeffs, params, shortlist)
                    for ref_idx, shortlist in
                    enumerate(gram_shortlist(coeffs, params)))
     else:
-        closest, short = ga_closest_sets(coeffs, cfg.ga_params(l2_t),
-                                         ga.ref_blocks(geom.n_w), trace)
+        closest, short = ga_closest_sets(coeffs, cfg.ga_params(l2_t), blocks,
+                                         trace)
+        block_rows = max(len(b) - int(np.count_nonzero(short[b]))
+                         for b in blocks)
 
     # fallback-filled members failed the distance gate; averaging them in
     # would mix dissimilar content into the estimate
@@ -226,7 +234,7 @@ def denoise_image(noisy, cfg: DenoiseConfig, trace=None, threads: int = 1):
         total_evals += found.evaluations
 
     acc = Accumulator(noisy.shape)
-    for rows in ga.ref_blocks(geom.n_w):
+    for rows in blocks:
         # members summed a column at a time in selection order, zero past
         # a row's count: the bits of a (rows, k, m, m) gather's sum
         n = counts[rows]
@@ -244,7 +252,8 @@ def denoise_image(noisy, cfg: DenoiseConfig, trace=None, threads: int = 1):
     stats = RunStats(engine=cfg.engine, m=cfg.m, s_size=cfg.s_size,
                      n_c=cfg.n_c, sigma=sigma, distance_evals=total_evals,
                      wall_ms=wall_ms, seed=cfg.seed,
-                     short_rows=None if short is None else int(short.sum()))
+                     short_rows=None if short is None else int(short.sum()),
+                     block_rows=block_rows)
     return out, stats
 
 

@@ -67,7 +67,8 @@ class TestDenoise:
         assert code == EXIT_OK
         clean = ct_phantom(64)
         assert psnr(clean, load_pgm(out)) > psnr(clean, load_pgm(noisy_pgm))
-        assert "engine=exhaustive" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "engine=exhaustive" in out and "block_rows=" not in out
 
     def test_deterministic_output_bytes(self, noisy_pgm, tmp_path, capsys):
         a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"
@@ -112,6 +113,17 @@ class TestDenoise:
             streams.append(capsys.readouterr().err)
         assert streams[0] == streams[1]
         assert streams[0].startswith("gen=1 ")
+
+    def test_ga_stats_report_block_rows(self, noisy_pgm, tmp_path, capsys):
+        # 64 px at m=8, s=4: n_w = 225 in one block, its full rows searched
+        code = main(["denoise", str(noisy_pgm), str(tmp_path / "o.pgm"),
+                     "--method", "ga", "--window", "8", "--step", "4",
+                     "--sigma", "15"])
+        assert code == EXIT_OK
+        stats = dict(line.split("=", 1)
+                     for line in capsys.readouterr().out.splitlines())
+        assert int(stats["block_rows"]) > 0
+        assert int(stats["block_rows"]) + int(stats["short_rows"]) == 225
 
     def test_settings_reach_config(self, noisy_pgm, tmp_path, capsys):
         code = main(["denoise", str(noisy_pgm), str(tmp_path / "o.pgm"),

@@ -666,25 +666,30 @@ class TestBlockSearch:
             ga_select(4, coeffs, p, search=s)
 
     def test_blocks_cover_in_order(self, monkeypatch):
-        monkeypatch.setattr(ga_mod, "GA_BLOCK_ROWS", 60)
+        monkeypatch.setattr(ga_mod, "GA_BLOCK_ENTRIES", 60 * 225)
         blocks = ref_blocks(225)
         assert len(blocks) == 4 and len({len(b) for b in blocks}) > 1
         assert np.array_equal(np.concatenate(blocks), np.arange(225))
         assert [len(b) for b in ref_blocks(3)] == [3]
-        monkeypatch.setattr(ga_mod, "GA_BLOCK_ROWS", 1)
-        assert len(ref_blocks(225)) == 225
+        for budget in (225, 100):   # one row's cache, then less than that
+            monkeypatch.setattr(ga_mod, "GA_BLOCK_ENTRIES", budget)
+            blocks = ref_blocks(225)
+            assert [len(b) for b in blocks] == [1] * 225
+            assert np.array_equal(np.concatenate(blocks), np.arange(225))
 
     def test_block_rows_at_96_and_512(self):
-        # m=8, s=4 at 96 (n_w = 529) and m=16, s=8 at 512 (n_w = 3969)
-        sizes = [len(b) for b in ref_blocks(529)]
-        assert len(sizes) == 5 and set(sizes) <= {105, 106}
-        assert max(len(b) for b in ref_blocks(3969)) <= 128
+        # m=8, s=4 at 96 (n_w = 529): one block; m=16, s=8 at 512
+        # (n_w = 3969): no cache over budget, no block under 128 rows
+        assert [len(b) for b in ref_blocks(529)] == [529]
+        sizes = [len(b) for b in ref_blocks(3969)]
+        assert max(sizes) * 3969 <= ga_mod.GA_BLOCK_ENTRIES
+        assert min(sizes) >= 128
 
     def test_denoise_independent_of_block_size(self, monkeypatch):
         noisy = add_awgn(ct_phantom(64), 15, 0)
         cfg = DenoiseConfig(m=8, s_size=4, engine="ga", sigma=15.0,
                             threshold_scale=0.25, seed=2)
-        monkeypatch.setattr(ga_mod, "GA_BLOCK_ROWS", 60)
+        monkeypatch.setattr(ga_mod, "GA_BLOCK_ENTRIES", 60 * 225)
         sizes = [len(b) for b in ref_blocks(225)]
         assert len(sizes) >= 3 and len(set(sizes)) > 1
         out, stats = denoise_image(noisy, cfg)

@@ -304,6 +304,7 @@ class TestDenoiseImage:
                     "distance_evals=", "wall_ms=", "seed="):
             assert key in block
         assert stats.short_rows is None and "short_rows=" not in block
+        assert stats.block_rows is None and "block_rows=" not in block
 
     def test_stats_count_short_rows_for_the_ga(self):
         noisy = add_awgn(ct_phantom(48), 15, 3)
@@ -313,6 +314,7 @@ class TestDenoiseImage:
         n_w = build_grid(noisy, 8, 4).n_w
         assert stats.short_rows == n_w   # every row; see the trace test
         assert f"short_rows={n_w}" in stats.as_block().splitlines()
+        assert stats.block_rows == 0   # no row searched
 
 
 class TestValidation:
