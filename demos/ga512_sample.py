@@ -44,7 +44,7 @@ p = ga.GaParams(l2_t=noise_gate(SIGMA, M), seed=0)
 
 digest = hashlib.sha256()
 start = time.perf_counter()
-sets, short = pipeline.ga_closest_sets(
+sets, short, _ = pipeline.ga_closest_sets(
     coeffs, p, np.array_split(sample, -(-len(sample) // rows)))
 seconds = time.perf_counter() - start
 for found in sets:

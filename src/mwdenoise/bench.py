@@ -45,6 +45,11 @@ class BenchPlan:
                                  f"expected subset of {BENCH_ENGINES}")
             if e != "noisy-only":
                 self.cell_config(e, 0.0, 0)   # raises here, not mid-sweep
+        for seed in self.seeds:
+            if seed < 0:
+                raise ValueError(f"seeds must be >= 0, got {seed}")
+        for spec in self.images:
+            phantom_size(spec)
 
     def cell_config(self, engine: str, sigma: float, seed: int):
         return replace(self.cfg, engine=engine, sigma=sigma, seed=seed)
@@ -62,10 +67,20 @@ class BenchRow:
     wall_ms: float | None
 
 
+def phantom_size(spec: str) -> int | None:
+    """N of a "phantom:N" image spec, None for a PGM path."""
+    if not spec.startswith("phantom:"):
+        return None
+    size = spec.split(":", 1)[1]
+    if not (size.isdecimal() and int(size) >= 8):
+        raise ValueError(f"phantom size must be an integer >= 8, "
+                         f"got {spec!r}")
+    return int(size)
+
+
 def resolve_image(spec: str) -> np.ndarray:
-    if spec.startswith("phantom:"):
-        return ct_phantom(int(spec.split(":", 1)[1]))
-    return load_pgm(spec)
+    size = phantom_size(spec)
+    return load_pgm(spec) if size is None else ct_phantom(size)
 
 
 def noise_seed(seed: int, image_index: int, sigma: float) -> int:

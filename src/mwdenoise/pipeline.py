@@ -98,6 +98,7 @@ class RunStats:
     seed: int
     psnr_in: float | None = None
     psnr_out: float | None = None
+    gram_pairs: int = 0   # pairs the Gram shortlists priced (GA: to classify)
     short_rows: int | None = None   # GA: windows whose gate passes < n_c
     block_rows: int | None = None   # GA: rows of its largest search block
 
@@ -109,6 +110,7 @@ class RunStats:
                  ("psnr_in", _fmt_db(self.psnr_in)),
                  ("psnr_out", _fmt_db(self.psnr_out)),
                  ("distance_evals", self.distance_evals),
+                 ("gram_pairs", self.gram_pairs),
                  ("wall_ms", f"{self.wall_ms:.1f}"), ("seed", self.seed)]
         if self.short_rows is not None:
             pairs.append(("short_rows", self.short_rows))
@@ -212,12 +214,12 @@ def denoise_image(noisy, cfg: DenoiseConfig, trace=None, threads: int = 1):
     short = block_rows = None
     if cfg.engine == "exhaustive":
         params = cfg.selection_params(l2_t)
+        shortlists, gram_pairs = gram_shortlist(coeffs, params)
         closest = (exhaustive_select(ref_idx, coeffs, params, shortlist)
-                   for ref_idx, shortlist in
-                   enumerate(gram_shortlist(coeffs, params)))
+                   for ref_idx, shortlist in enumerate(shortlists))
     else:
-        closest, short = ga_closest_sets(coeffs, cfg.ga_params(l2_t), blocks,
-                                         trace)
+        closest, short, gram_pairs = ga_closest_sets(
+            coeffs, cfg.ga_params(l2_t), blocks, trace)
         block_rows = max(len(b) - int(np.count_nonzero(short[b]))
                          for b in blocks)
 
@@ -251,16 +253,17 @@ def denoise_image(noisy, cfg: DenoiseConfig, trace=None, threads: int = 1):
     wall_ms = (time.perf_counter() - start) * 1000.0
     stats = RunStats(engine=cfg.engine, m=cfg.m, s_size=cfg.s_size,
                      n_c=cfg.n_c, sigma=sigma, distance_evals=total_evals,
-                     wall_ms=wall_ms, seed=cfg.seed,
+                     wall_ms=wall_ms, seed=cfg.seed, gram_pairs=gram_pairs,
                      short_rows=None if short is None else int(short.sum()),
                      block_rows=block_rows)
     return out, stats
 
 
 def ga_closest_sets(coeffs: np.ndarray, p: GaParams, blocks, trace=None):
-    """(closest sets, short) for the reference windows of `blocks` (index
-    arrays), in order; `short` marks each row whose gate passes fewer than
-    n_c windows.
+    """(closest sets, short, gram pairs) for the reference windows of
+    `blocks` (index arrays), in order; `short` marks each row whose gate
+    passes fewer than n_c windows, and gram pairs counts the pairs that
+    `gram_shortlist` priced to find them.
 
     Ungated shortlists (`gram_shortlist`) hold each window's exact top
     n_c, ties included, and the gate is monotone in distance. Per block,
@@ -268,11 +271,13 @@ def ga_closest_sets(coeffs: np.ndarray, p: GaParams, blocks, trace=None):
     block's width with its own entries; `lookup` prices each pair once),
     and a row is short when fewer than n_c of it pass `passes_gate`. A
     short row's archive can never fill, and its cache row holds all that
-    its GA answer reads; the Gram priced every pair, so it reports n_w
-    evaluations. Only the other rows are searched. Every closest set comes
-    from `ga_select`, which replays a searched row's trace records.
+    its GA answer reads. Every pair was either priced by the Gram or ruled
+    out by its norm bound, so it reports n_w evaluations. Only the other
+    rows are searched. Every closest set comes from `ga_select`, which
+    replays a searched row's trace records.
     """
-    shortlists = gram_shortlist(coeffs, SelectionParams(n_c=p.n_c))
+    shortlists, gram_pairs = gram_shortlist(coeffs,
+                                            SelectionParams(n_c=p.n_c))
     sets, short = [], []
     for refs in blocks:
         cache = DistanceCache(coeffs, refs)
@@ -289,4 +294,4 @@ def ga_closest_sets(coeffs: np.ndarray, p: GaParams, blocks, trace=None):
                       else next(searches))
             sets.append(ga_select(r, coeffs, p, trace, search=search))
         short.append(is_short)
-    return sets, np.concatenate(short)
+    return sets, np.concatenate(short), gram_pairs

@@ -5,19 +5,24 @@ Distances are L2 norms of coefficient differences in the multi-wavelet
 domain. Because the transform is orthogonal this equals the pixel-domain
 distance; the equality is exercised by tests rather than exploited here.
 
-The exhaustive engine prices every window pair, but not one reference at a
-time. `gram_shortlist` takes the squared window norms once and, for a block
-of reference rows at a time, gets every squared distance from one BLAS
-matmul as ||a||^2 + ||b||^2 - 2 a.b. Each reference keeps as its shortlist
-every candidate within a rounding-error margin of its n_c-th smallest
-value, cut to the exact top n_c where duplicate windows make it long.
+The exhaustive engine settles every window pair, but not one reference at
+a time. `gram_shortlist` takes the squared window norms once, sorts the
+windows by them and, for a block of reference rows at a time, gets squared
+distances from BLAS matmuls as ||a||^2 + ||b||^2 - 2 a.b. A small core
+product against the block's norm neighbours bounds each row's n_c-th
+distance, and since ||a - b|| >= | ||a|| - ||b|| |, only the windows in one
+band of norms around the block can reach it; the rest are ruled out
+without being priced. Each reference keeps as its shortlist every
+candidate within a rounding-error margin of its n_c-th smallest value, cut
+to the exact top n_c where duplicate windows make it long.
 `exhaustive_select` then re-ranks that shortlist with the canonical
 kernel `distances_from`, the same one the full scan uses. The gate is
 monotone in distance, so the result equals the full scan's, ties and their
 order included. A Gram block holds at most GRAM_BLOCK_ENTRIES float64
-values (1 MiB), so memory does not grow as n_w^2. A selection still
-reports n_w evaluations (n_w - 1 without self), because the Gram priced
-every pair.
+values (1 MiB), so memory does not grow as n_w^2. Every pair is either
+priced or ruled out by the bound, so a selection still reports n_w
+evaluations (n_w - 1 without self); `gram_shortlist` also returns the
+pairs it priced.
 """
 
 import warnings
@@ -104,7 +109,8 @@ def exhaustive_select(ref_idx: int, coeffs: np.ndarray,
     `candidates` (None: every window) must hold the exact top n_c, as the
     shortlists of `gram_shortlist` do; the result then equals the full
     scan's. The evaluation count is that of the full scan either way,
-    because a shortlist comes from pricing every pair.
+    because a shortlist comes from settling every pair, by pricing it or
+    by ruling it out.
     """
     n_w = len(coeffs)
     if not 0 <= ref_idx < n_w:
@@ -127,20 +133,31 @@ def exhaustive_select(ref_idx: int, coeffs: np.ndarray,
 GRAM_BLOCK_ENTRIES = 2 ** 17
 
 
-def gram_shortlist(coeffs: np.ndarray, params: SelectionParams) -> list:
-    """Per reference window, the candidate indices that can be among its
-    exact n_c nearest, found from blocked Gram distances.
+def gram_shortlist(coeffs: np.ndarray, params: SelectionParams):
+    """(shortlists, pairs): per reference window, the candidate indices
+    that can be among its exact n_c nearest, found from blocked Gram
+    distances; and the number of pairs the Gram products priced.
 
-    Every row of squared distances is priced in blocks of at most
-    GRAM_BLOCK_ENTRIES values. A row keeps each candidate whose Gram value
-    is within `margin` of the row's n_c-th smallest one. Self is masked out
-    first when `include_self` is off. A row that keeps more than 2 n_c is
-    cut to its exact top n_c with the canonical kernel. With n_c at least
-    the number of candidates, every window is kept.
+    The windows are taken in ascending order of squared norm sq (a stable
+    argsort), and the reference rows in blocks of GRAM_BLOCK_ENTRIES // n_w.
+    For each block:
+    - a core product prices its rows against their norm neighbourhood,
+      the block's rows +- n_c (one more with `include_self` off, whose self
+      pair is masked out), so every row has n_c candidates in it;
+    - the core's n_c-th value per row plus `margin` bounds the row's n_c-th
+      distance from above, and with a rounding allowance `allow` it gives
+      one contiguous band [a, b) of norm-sorted columns, the core included,
+      outside which no window can reach that distance (|n_a - n_b| <=
+      ||a - b|| for the norms n); only the sides [a, c0) and [c1, b) of the
+      core [c0, c1) are priced;
+    - a row keeps each candidate of the band whose Gram value is within
+      `margin` of the band's n_c-th smallest one. A row that keeps more
+      than 2 n_c is cut to its exact top n_c with the canonical kernel.
+    With n_c at least the number of candidates, every window is kept and
+    no pair is priced.
 
     Why the margin suffices (eps is the float64 machine epsilon, d the
-    coefficients per window, sq the squared norms, and first-order error
-    bounds throughout):
+    coefficients per window, and first-order error bounds throughout):
     - The canonical kernel sums d rounded squares of rounded differences,
       so its S = fl(||a - b||^2) is within (d + 2) eps ||a - b||^2 of the
       exact value, and ||a - b||^2 <= 2 (sq_a + sq_b).
@@ -153,41 +170,98 @@ def gram_shortlist(coeffs: np.ndarray, params: SelectionParams) -> list:
       G <= kth have S <= kth + e. A member j of the exact top n_c has a
       distance sqrt(S_j) no larger than the largest of theirs. The sqrt
       is correctly rounded, so S_j <= (kth + e)(1 + 4 eps). Hence
-      G_j <= S_j + e <= kth + 2 e + 8 eps (sq_i + max sq).
+      G_j <= S_j + e <= kth + 2 e + 8 eps (sq_i + max sq), if j was priced.
     margin = 8 (d + 4) eps (sq_i + max sq) covers that plus the rounding of
     the cut itself. Ties at the n_c-th value all fall inside it.
+
+    Why the band holds every member (N is the largest computed norm, so
+    max sq = N^2 and every distance is at most 2 N; u = eps / 2):
+    - A computed norm n = sqrt(fl(sq)) is within (d + 1) eps / 2 ||x|| of
+      the exact ||x||: sq is within d eps of its size, the sqrt halves
+      that and adds one rounding. Two norms together are off by at most
+      (d + 1) eps N.
+    - Upper bound. With kth the row's n_c-th smallest core G, n_c
+      candidates have S <= kth + e, so the row's n_c-th smallest canonical
+      distance D_nc is at most sqrt(kth + e)(1 + u). The code takes
+      R = sqrt(kth + margin). As margin >= 2 e + 16 eps N^2 and kth <= 4 N^2,
+      the sum loses at most 2 eps N^2 to rounding and stays >= kth + e;
+      the sqrt rounds once more. So D_nc <= R (1 + u) / (1 - u)
+      <= R + 2 eps N.
+    - Lower bound. For any candidate j, S_j >= ||a - b||^2 (1 - (d + 2) eps)
+      and its sqrt rounds once, so D_j >= ||a - b|| (1 - (d + 3) eps / 2)
+      >= ||a - b|| - (d + 3) eps N. By the reverse triangle inequality and
+      the norm bound, ||a - b|| >= |n_i - n_j| - (d + 1) eps N, so
+      D_j >= |n_i - n_j| - (2 d + 4) eps N.
+    - Band. The sorted norms are ascending, as the sqrt is monotone, and a
+      window is outside the band only when its norm is below
+      fl(n_i - fl(R + allow)) or above fl(n_i + fl(R + allow)) for every
+      row i of the block. Those roundings, of values below 3 N, cost at
+      most 3 eps N, so |n_i - n_j| > R + allow - 3 eps N.
+    - Together, a window j outside the band has
+      D_j > R + allow - (2 d + 7) eps N >= D_nc + allow - (2 d + 9) eps N.
+      allow = 8 (d + 4) eps N exceeds (2 d + 9) eps N, with room for the
+      second-order terms, so D_j > D_nc: j is neither in the exact top
+      n_c nor tied with its n_c-th member.
     """
     n_w = len(coeffs)
-    flat = coeffs.reshape(n_w, -1)
     n_c = params.n_c
     if n_c >= (n_w if params.include_self else n_w - 1):
-        return [np.arange(n_w)] * n_w
+        return [np.arange(n_w)] * n_w, 0
+    flat = coeffs.reshape(n_w, -1)
     sq = np.einsum("ij,ij->i", flat, flat)
+    order = np.argsort(sq, kind="stable")
+    flat, sq = flat[order], sq[order]
+    norm = np.sqrt(sq)
     slack = 8 * (flat.shape[1] + 4) * np.finfo(np.float64).eps
-    margin = slack * (sq + sq.max())
+    margin = slack * (sq + sq[-1])
+    allow = slack * norm[-1]
+    reach = n_c + (not params.include_self)
     rows = max(1, GRAM_BLOCK_ENTRIES // n_w)
-    shortlists = []
+    # one block's Gram values; column j holds the j-th window by norm
+    d2 = np.empty((rows, n_w))
+    shortlists = [None] * n_w
+    pairs = 0
+
+    def price(lo, hi, c0, c1):
+        out = d2[:hi - lo, c0:c1]
+        # -2 is a power of 2: scaling the rows rounds as scaling the product
+        np.matmul(-2.0 * flat[lo:hi], flat[c0:c1].T, out=out)
+        out += sq[lo:hi, None]
+        out += sq[c0:c1]
+
     for lo in range(0, n_w, rows):
         hi = min(lo + rows, n_w)
-        d2 = flat[lo:hi] @ flat.T
-        d2 *= -2.0
-        d2 += sq[lo:hi, None]
-        d2 += sq
+        c0, c1 = max(0, lo - reach), min(n_w, hi + reach)
+        price(lo, hi, c0, c1)
         if not params.include_self:
             d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-        kth = np.partition(d2, n_c - 1, axis=1)[:, n_c - 1]
-        keep = d2 <= (kth + margin[lo:hi])[:, None]
-        for ref_idx, row in enumerate(keep, lo):
-            cand = np.flatnonzero(row)
+        kth = np.partition(d2[:hi - lo, c0:c1], n_c - 1, axis=1)[:, n_c - 1]
+        radius = np.sqrt(kth + margin[lo:hi]) + allow
+        a = min(c0, int(np.searchsorted(norm, (norm[lo:hi] - radius).min(),
+                                        "left")))
+        b = max(c1, int(np.searchsorted(norm, (norm[lo:hi] + radius).max(),
+                                        "right")))
+        if (a, b) != (c0, c1):
+            price(lo, hi, a, c0)
+            price(lo, hi, c1, b)
+            kth = np.partition(d2[:hi - lo, a:b], n_c - 1, axis=1)[:, n_c - 1]
+        pairs += (hi - lo) * (b - a)
+        row, col = np.nonzero(d2[:hi - lo, a:b]
+                              <= (kth + margin[lo:hi])[:, None])
+        col = order[a:b][col]
+        ends = np.cumsum(np.bincount(row, minlength=hi - lo)).tolist()
+        for ref_idx, start, end in zip(order[lo:hi].tolist(), [0] + ends,
+                                       ends):
+            cand = col[start:end]
             if len(cand) > 2 * n_c:
                 # many windows within the margin, as with duplicate
                 # windows: keep just the exact top n_c, so shortlists stay
                 # O(n_c) per reference instead of O(n_w)
-                order = rank_ascending(
+                ranked = rank_ascending(
                     cand, distances_from(coeffs, ref_idx, cand))
-                cand = cand[order[:n_c]]
-            shortlists.append(cand)
-    return shortlists
+                cand = cand[ranked[:n_c]]
+            shortlists[ref_idx] = cand
+    return shortlists, pairs
 
 
 def calibrate_l2t(coeffs: np.ndarray, quantile: float = 0.05,

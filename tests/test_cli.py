@@ -3,6 +3,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import mwdenoise.cli as cli_mod
 from mwdenoise.bench import BenchPlan
 from mwdenoise.cli import (EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION,
                            build_parser, main)
@@ -212,6 +213,22 @@ class TestBench:
         assert main(self.ARGS + ["--out", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
         capsys.readouterr()
+
+    @pytest.mark.parametrize("bad, message", [
+        (["--images", "phantom:64", "phantom:abc"],
+         "phantom size must be an integer >= 8, got 'phantom:abc'"),
+        (["--images", "phantom:4"],
+         "phantom size must be an integer >= 8, got 'phantom:4'"),
+        (["--seeds", "0", "-1"], "seeds must be >= 0, got -1"),
+    ])
+    def test_bad_sweep_rejected_before_any_cell(self, monkeypatch, capsys,
+                                                bad, message):
+        def run(plan):
+            raise AssertionError("a cell ran before the plan was checked")
+
+        monkeypatch.setattr(cli_mod, "run_bench", run)
+        assert main(self.ARGS + bad) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
 
     def test_defaults_from_dataclasses(self):
         parser = build_parser()

@@ -301,7 +301,7 @@ class TestDenoiseImage:
                                                       sigma=10.0))
         block = stats.as_block()
         for key in ("engine=", "m=", "s_size=", "n_c=", "sigma=",
-                    "distance_evals=", "wall_ms=", "seed="):
+                    "distance_evals=", "gram_pairs=", "wall_ms=", "seed="):
             assert key in block
         assert stats.short_rows is None and "short_rows=" not in block
         assert stats.block_rows is None and "block_rows=" not in block
@@ -315,6 +315,26 @@ class TestDenoiseImage:
         assert stats.short_rows == n_w   # every row; see the trace test
         assert f"short_rows={n_w}" in stats.as_block().splitlines()
         assert stats.block_rows == 0   # no row searched
+        # the classification's pairs, not the GA's distance evaluations
+        _, pairs = gram_shortlist(window_coeffs(noisy),
+                                  SelectionParams(n_c=cfg.n_c))
+        assert 0 < stats.gram_pairs == pairs <= n_w * n_w
+        assert f"gram_pairs={pairs}" in stats.as_block().splitlines()
+
+    def test_stats_count_gram_pairs_of_the_scan(self):
+        # equal windows: the norm bound rules out no pair, yet every
+        # window still counts n_w evaluations
+        img = np.full((32, 32), 77, np.uint8)
+        _, stats = denoise_image(img, DenoiseConfig(m=8, s_size=4,
+                                                    sigma=10.0))
+        n_w = build_grid(img, 8, 4).n_w
+        assert stats.gram_pairs == n_w * n_w == stats.distance_evals
+        # 529 windows make three Gram blocks, so the bands can prune
+        noisy = add_awgn(ct_phantom(96), 20, 1)
+        _, stats = denoise_image(noisy, DenoiseConfig(m=8, s_size=4,
+                                                      sigma=20.0))
+        n_w = build_grid(noisy, 8, 4).n_w
+        assert stats.gram_pairs < n_w * n_w == stats.distance_evals
 
 
 class TestValidation:
@@ -568,7 +588,7 @@ class TestShortRows:
         gated = np.array([np.count_nonzero(distances_from(coeffs, r) < l2_t)
                           for r in range(n_w)])
         short = gated < cfg.n_c
-        _, classified = pipeline_mod.ga_closest_sets(
+        _, classified, _ = pipeline_mod.ga_closest_sets(
             coeffs, cfg.ga_params(l2_t), ga_mod.ref_blocks(n_w))
         assert np.array_equal(classified, short)
         found, selected, searched = self.closest_sets(monkeypatch, noisy,
@@ -603,7 +623,7 @@ class TestShortRows:
         # cache holds its shortlist alone, with the canonical kernel's bits
         coeffs = window_coeffs(tiled(32, 5))
         p = GaParams(n_c=17, l2_t=1e-6)
-        lists = gram_shortlist(coeffs, SelectionParams(n_c=p.n_c))
+        lists, _ = gram_shortlist(coeffs, SelectionParams(n_c=p.n_c))
         assert len({len(c) for c in lists}) > 1
         priced, searches = [], {}
         kernel, select = ga_mod.distances_from, pipeline_mod.ga_select
@@ -618,8 +638,8 @@ class TestShortRows:
 
         monkeypatch.setattr(ga_mod, "distances_from", count)
         monkeypatch.setattr(pipeline_mod, "ga_select", spy)
-        _, short = pipeline_mod.ga_closest_sets(coeffs, p,
-                                                ga_mod.ref_blocks(len(lists)))
+        _, short, _ = pipeline_mod.ga_closest_sets(
+            coeffs, p, ga_mod.ref_blocks(len(lists)))
         assert short.all()
         assert sum(priced) == sum(len(c) for c in lists)
         for r, c in enumerate(lists):

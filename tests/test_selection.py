@@ -149,6 +149,25 @@ def tiled_image(seed):
     return np.tile(block, (5, 5)).astype(np.uint8)
 
 
+def multiples_image(seed):
+    # 8x8 tiles k * v of one pattern v, read on an 8-pixel grid: windows
+    # k1 v and k2 v are |k1 - k2| ||v|| apart, exactly their norm gap, and
+    # the 64 tiles repeat k, so rows tie right at the edge of their bands
+    rng = np.random.default_rng(seed)
+    v = rng.integers(1, 20, (8, 8))
+    k = rng.integers(1, 12, (8, 8))
+    return np.kron(k, np.ones((8, 8), np.int64)) * np.tile(v, (8, 8))
+
+
+def permuted_image(seed):
+    # 8x8 tiles that permute one set of pixels: every window has the same
+    # norm up to the transform's rounding, so the bound can rule out no pair
+    rng = np.random.default_rng(seed)
+    pixels = rng.integers(0, 256, 64)
+    tiles = [rng.permutation(pixels).reshape(8, 8) for _ in range(49)]
+    return np.block([tiles[r * 7:r * 7 + 7] for r in range(7)])
+
+
 SHORTLIST_CASES = {
     "m8": (add_awgn(ct_phantom(64), 20, 1), 8, 4),
     "m16": (add_awgn(ct_phantom(96), 20, 2), 16, 8),
@@ -158,7 +177,18 @@ SHORTLIST_CASES = {
     # large norms, tiny gaps: Gram cancellation error is near the gaps
     "near65535": (65000.0 + np.random.default_rng(5).integers(0, 3, (64, 64)),
                   16, 4),
+    "multiples": (multiples_image(6), 8, 8),
+    "equal-norms": (permuted_image(7), 8, 8),
 }
+
+
+def uneven_entries(target, n_w):
+    """A GRAM_BLOCK_ENTRIES near `target` whose blocks of rows leave a
+    shorter last block, unless they are one row each."""
+    rows = max(1, target // n_w)
+    while rows > 1 and n_w % rows == 0:
+        rows += 1
+    return rows * n_w
 
 
 class TestGramShortlist:
@@ -166,9 +196,12 @@ class TestGramShortlist:
 
     @staticmethod
     def assert_exact(coeffs, params):
-        shortlists = gram_shortlist(coeffs, params)
-        assert len(shortlists) == len(coeffs)
+        shortlists, pairs = gram_shortlist(coeffs, params)
+        n_w = len(coeffs)
+        assert len(shortlists) == n_w
+        assert 0 <= pairs <= n_w * n_w
         for ref, cand in enumerate(shortlists):
+            assert len(cand) <= 2 * params.n_c
             full = exhaustive_select(ref, coeffs, params)
             fast = exhaustive_select(ref, coeffs, params, cand)
             assert fast.indices.dtype == full.indices.dtype
@@ -177,19 +210,23 @@ class TestGramShortlist:
             assert fast.evaluations == full.evaluations
             assert fast.gated == full.gated
 
+    @staticmethod
+    def case_params(coeffs, n_c, gate, include_self):
+        flat = coeffs.reshape(len(coeffs), -1)
+        # the median distance from window 0 gates about half the pairs
+        l2_t = (float(np.median(np.linalg.norm(flat - flat[0], axis=1)))
+                if gate else np.inf)
+        return SelectionParams(n_c=n_c, l2_t=max(l2_t, 1e-9),
+                               include_self=include_self)
+
     @pytest.mark.parametrize("case", sorted(SHORTLIST_CASES))
     @pytest.mark.parametrize("gate", [False, True])
     @pytest.mark.parametrize("include_self", [True, False])
     def test_matches_full_scan(self, case, gate, include_self):
         img, m, s_size = SHORTLIST_CASES[case]
         coeffs = window_coeffs(img, m, s_size)
-        flat = coeffs.reshape(len(coeffs), -1)
-        # the median distance from window 0 gates about half the pairs
-        l2_t = (float(np.median(np.linalg.norm(flat - flat[0], axis=1)))
-                if gate else np.inf)
-        params = SelectionParams(n_c=4, l2_t=max(l2_t, 1e-9),
-                                 include_self=include_self)
-        self.assert_exact(coeffs, params)
+        self.assert_exact(coeffs, self.case_params(coeffs, 4, gate,
+                                                   include_self))
 
     @pytest.mark.parametrize("include_self", [True, False])
     def test_n_c_at_least_n_w(self, include_self):
@@ -200,22 +237,44 @@ class TestGramShortlist:
             self.assert_exact(coeffs, params)
 
     def test_blocks_smaller_than_image(self, monkeypatch):
-        # a few reference rows per Gram block, last block partial
-        monkeypatch.setattr(selection_mod, "GRAM_BLOCK_ENTRIES", 1000)
-        img, m, s_size = SHORTLIST_CASES["duplicates"]
-        coeffs = window_coeffs(img, m, s_size)
-        assert 1000 // len(coeffs) < len(coeffs)
-        for include_self in (True, False):
-            self.assert_exact(coeffs, SelectionParams(
-                n_c=5, include_self=include_self))
+        # many blocks of a few reference rows, the last one partial, each
+        # with its own core and band, on every case
+        for case, (img, m, s_size) in sorted(SHORTLIST_CASES.items()):
+            coeffs = window_coeffs(img, m, s_size)
+            n_w = len(coeffs)
+            for target in (50, 300, 1000):
+                entries = uneven_entries(target, n_w)
+                rows = entries // n_w
+                assert rows < n_w and (rows == 1 or n_w % rows), case
+                monkeypatch.setattr(selection_mod, "GRAM_BLOCK_ENTRIES",
+                                    entries)
+                for n_c in (1, 4, 16):
+                    for gate in (False, True):
+                        for include_self in (True, False):
+                            self.assert_exact(coeffs, self.case_params(
+                                coeffs, n_c, gate, include_self))
 
     @pytest.mark.parametrize("case", sorted(SHORTLIST_CASES))
     def test_shortlists_stay_short(self, case):
         # duplicate and constant images put many windows within the margin
         img, m, s_size = SHORTLIST_CASES[case]
-        shortlists = gram_shortlist(window_coeffs(img, m, s_size),
-                                    SelectionParams(n_c=4))
+        shortlists, _ = gram_shortlist(window_coeffs(img, m, s_size),
+                                       SelectionParams(n_c=4))
         assert max(len(c) for c in shortlists) <= 8
+
+    @pytest.mark.parametrize("case", ["constant", "equal-norms"])
+    def test_equal_norms_price_every_pair(self, case):
+        img, m, s_size = SHORTLIST_CASES[case]
+        coeffs = window_coeffs(img, m, s_size)
+        _, pairs = gram_shortlist(coeffs, SelectionParams(n_c=4))
+        assert pairs == len(coeffs) ** 2
+
+    def test_bands_prune_most_pairs_at_512(self):
+        # 39% of the pairs are priced at sigma 20; a band that silently
+        # widens toward every pair fails here
+        coeffs = window_coeffs(add_awgn(ct_phantom(512), 20, 1), 16, 8)
+        _, pairs = gram_shortlist(coeffs, SelectionParams())
+        assert pairs <= 0.6 * len(coeffs) ** 2
 
 
 def test_denoise_shortlist_equals_full_scan(monkeypatch):
@@ -224,7 +283,7 @@ def test_denoise_shortlist_equals_full_scan(monkeypatch):
     out, stats = denoise_image(noisy, cfg)
     monkeypatch.setattr(pipeline_mod, "gram_shortlist",
                         lambda coeffs, params:
-                        [np.arange(len(coeffs))] * len(coeffs))
+                        ([np.arange(len(coeffs))] * len(coeffs), 0))
     ref_out, ref_stats = denoise_image(noisy, cfg)
     assert out.tobytes() == ref_out.tobytes()
     assert stats.distance_evals == ref_stats.distance_evals
