@@ -4,13 +4,13 @@ A full GA denoise of a 512x512 slice takes tens of seconds, too long to
 repeat when comparing two versions of the code. This runs the GA, as the
 pipeline does, for every 15th window of the paper's geometry (m=16,
 s_size=8, n_w = 3969): 264 references by default, searched in blocks of
-the row count the image's own blocks get. `pipeline.ga_closest_sets`
-builds the Gram shortlists once for the whole image, as in a denoise, and
-answers each sample block: its short rows are read off their shortlists
-and the others searched. It prints the seconds this takes (the shortlists
-included), the short count, the distance evaluations and a sha256 over
-each closest set's index and distance bytes, so two runs compare both
-time and results:
+the row count the image's own blocks get. As in a denoise,
+`selection.gram_shortlist` builds the Gram shortlists once for the whole
+image, and `ga.closest_sets` answers each sample block from them: its
+short rows are read off their shortlists and the others searched. It
+prints the seconds both steps take together, the short count, the
+distance evaluations and a sha256 over each closest set's index and
+distance bytes, so two runs compare both time and results:
 
     PYTHONPATH=src python demos/ga512_sample.py [--refs N]
 """
@@ -21,8 +21,8 @@ import time
 
 import numpy as np
 
-from mwdenoise import add_awgn, ct_phantom, ga, ghm, pipeline
-from mwdenoise.selection import noise_gate
+from mwdenoise import add_awgn, ct_phantom, ga, ghm
+from mwdenoise.selection import gram_shortlist, noise_gate
 from mwdenoise.windows import build_grid, extract_windows
 
 SIGMA, M, S_SIZE = 20.0, 16, 8
@@ -44,8 +44,9 @@ p = ga.GaParams(l2_t=noise_gate(SIGMA, M), seed=0)
 
 digest = hashlib.sha256()
 start = time.perf_counter()
-sets, short, _ = pipeline.ga_closest_sets(
-    coeffs, p, np.array_split(sample, -(-len(sample) // rows)))
+shortlists, _ = gram_shortlist(coeffs, p.n_c)
+sets, short = ga.closest_sets(
+    coeffs, p, np.array_split(sample, -(-len(sample) // rows)), shortlists)
 seconds = time.perf_counter() - start
 for found in sets:
     digest.update(found.indices.tobytes())

@@ -35,6 +35,9 @@ class BenchPlan:
     timing: bool = False
 
     def __post_init__(self):
+        for name in ("images", "engines", "seeds"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be non-empty")
         if not self.sigmas or not all(0 <= s < math.inf
                                       for s in self.sigmas):
             raise ValueError(f"sigmas must be non-empty, finite and >= 0, "

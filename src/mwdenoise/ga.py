@@ -25,8 +25,13 @@ string drawing from a numpy `Generator` is their one-row case. A row
 leaves the block after the generation its lone run would have stopped at.
 `ga_select` turns a row's search into its closest set (the archive read
 off the cache, the fallback fill, the trace records); without a search it
-runs the one-row block, folding each generation as it goes. A short row's
-search is a cache row priced from its Gram shortlist (see `pipeline`).
+runs the one-row block, folding each generation as it goes.
+
+`closest_sets` is the engine's entry point. It starts from the Gram
+shortlists that `selection.gram_shortlist` builds for either engine: a
+short row, whose gate passes fewer than n_c of its shortlist, can never
+fill its archive, so it is answered from its priced shortlist unsearched,
+and only the other rows go to `search_block`.
 
 Draws. Each draw is a pure function of its address,
 `mix(key, op, generation, string, position, try) % n_w`, a splitmix64-style
@@ -53,7 +58,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .selection import ClosestSet, distances_from, passes_gate, rank_ascending
+from .selection import (ClosestSet, SelectionParams, distances_from,
+                        passes_gate, rank_ascending)
 
 GA_BLOCK_ENTRIES = 2 ** 19   # cache entries per block, to share out overhead
 PRICE_ENTRIES = 2 ** 14      # coefficients priced, or genes checked, at once
@@ -68,17 +74,17 @@ _SHIFT1, _MUL1, _SHIFT2, _MUL2, _SHIFT3 = (
 
 
 @dataclass
-class GaParams:
-    n_c: int = 16
+class GaParams(SelectionParams):
+    """The GA's settings; n_c and l2_t, and their checks, are the scan's."""
     n_p: int = 10
     g_max: int = 100
     c_p1: int = 5
     c_p2: int = 12
-    l2_t: float = np.inf
     max_rounds: int = 5
     seed: int = 0
 
     def __post_init__(self):
+        super().__post_init__()
         if self.n_p < 2 or self.n_p % 2 != 0:
             raise ValueError(f"population size must be even and >= 2, "
                              f"got {self.n_p}")
@@ -88,8 +94,6 @@ class GaParams:
                              f"({self.c_p1}, {self.c_p2}) with n_c={self.n_c}")
         if self.g_max < 1 or self.max_rounds < 1:
             raise ValueError("g_max and max_rounds must be >= 1")
-        if not self.l2_t > 0:
-            raise ValueError(f"l2_t must be > 0, got {self.l2_t}")
         if self.seed < 0:
             raise ValueError(f"GA seed must be >= 0, got {self.seed}")
 
@@ -266,11 +270,6 @@ def init_population(cache: DistanceCache, p: GaParams, rng):
 def _mean(dists: np.ndarray):
     # the same pairwise sum and division as np.mean, row by row
     return np.add.reduce(dists, axis=-1) / dists.shape[-1]
-
-
-def fitness(genes: np.ndarray, cache: DistanceCache) -> float:
-    """Mean distance of a gene string to the reference window."""
-    return _mean(cache.lookup(genes))
 
 
 def select_parents(population):
@@ -481,6 +480,9 @@ def ga_select(ref_idx: int, coeffs: np.ndarray, p: GaParams,
     runs here as a one-row block, folded live. `trace` gets (generation,
     best fitness, archive size) per generation run: none for a short row.
     """
+    n_w = len(coeffs)
+    if not 0 <= ref_idx < n_w:
+        raise IndexError(f"reference index {ref_idx} out of range [0, {n_w})")
     if search is None:
         search = search_block(coeffs, [ref_idx], p,
                               record=trace is not None, live=True)[0]
@@ -505,3 +507,39 @@ def ga_select(ref_idx: int, coeffs: np.ndarray, p: GaParams,
     return ClosestSet(ref_idx, np.concatenate([best.indices, idx[gated:]]),
                       np.concatenate([best.dists, dst[gated:]]),
                       search.evaluations, gated=len(best))
+
+
+def closest_sets(coeffs: np.ndarray, p: GaParams, blocks, shortlists,
+                 trace=None):
+    """(closest sets, short) for the reference windows of `blocks` (index
+    arrays), in order; `short` marks each row whose gate passes fewer than
+    n_c windows.
+
+    `shortlists` are `selection.gram_shortlist`'s, for every window: each
+    holds its window's exact top n_c, ties included, and the gate is
+    monotone in distance. Per block, each row's shortlist is priced into a
+    DistanceCache row (padded to the block's width with its own entries;
+    `lookup` prices each pair once), and a row is short when fewer than n_c
+    of it pass `passes_gate`. A short row's archive can never fill, and its
+    cache row holds all that its GA answer reads. Every pair was either
+    priced by the Gram or ruled out by its norm bound, so it reports n_w
+    evaluations. Only the other rows are searched. Every closest set comes
+    from `ga_select`, which replays a searched row's trace records.
+    """
+    sets, short = [], []
+    for refs in blocks:
+        cache = DistanceCache(coeffs, refs)
+        width = max(len(shortlists[r]) for r in refs.tolist())
+        cache.lookup(np.stack([np.resize(shortlists[r], width)
+                               for r in refs.tolist()]), np.arange(len(refs)))
+        is_short = np.count_nonzero(passes_gate(cache.values, p.l2_t),
+                                    axis=1) < p.n_c
+        cache.evaluations[is_short] = cache.n_w
+        searches = iter(search_block(coeffs, refs[~is_short], p,
+                                     record=trace is not None))
+        for i, r in enumerate(refs.tolist()):
+            search = (GaSearch(cache, i, BestSet(r)) if is_short[i]
+                      else next(searches))
+            sets.append(ga_select(r, coeffs, p, trace, search=search))
+        short.append(is_short)
+    return sets, np.concatenate(short)

@@ -3,16 +3,15 @@ transform-domain thresholding and overlap aggregation.
 
 The work runs on blocks of windows (`ga.ref_blocks`): the fewest
 near-equal blocks whose (rows, n_w) GA distance cache fits a 4 MiB
-budget, one block for a 96x96 image at m=8, s_size=4. The engine
-(exhaustive scan or GA search) picks each window's closest windows. The
-GA prices each window's Gram shortlist first (`ga_closest_sets`), a block
-at a time: a short row, whose gate passes fewer than n_c windows, can
-never fill its archive, so its exact closest set is read off its
-shortlist, and the block's other rows are searched in lockstep. The
-members that pass the gate, self excluded, fill a selection table of
-(n_w, n_c) indices in selection order with a count per row. Each block is
-then averaged with its members, summed a column at a time, shrunk in the
-detail bands, inverted and overlap-added in window order.
+budget, one block for a 96x96 image at m=8, s_size=4. Both engines take
+one selection contract (n_c and the gate l2_t) and start from the same
+Gram shortlists, built once per image (`selection.gram_shortlist`): the
+exhaustive scan re-ranks each with `exhaustive_select`, and the GA
+(`ga.closest_sets`) answers its short rows from them and searches the
+rest. The members that pass the gate, self excluded, fill a selection
+table of (n_w, n_c) indices in selection order with a count per row. Each
+block is then averaged with its members, summed a column at a time,
+shrunk in the detail bands, inverted and overlap-added in window order.
 """
 
 import math
@@ -21,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ga, ghm
-from .ga import BestSet, DistanceCache, GaParams, GaSearch, ga_select
+from . import ghm
+from .ga import GaParams, closest_sets, ref_blocks
 from .image_io import PEAK
 from .selection import (SelectionParams, exhaustive_select, gram_shortlist,
-                        noise_gate, passes_gate)
+                        noise_gate)
 from .windows import build_grid, extract_windows, origin_of
 
 ENGINES = ("exhaustive", "ga")
@@ -41,7 +40,6 @@ class DenoiseConfig:
     engine: str = "exhaustive"
     n_c: int = SelectionParams.n_c
     l2_t: float | None = None      # None: noise-adaptive gate from sigma
-    include_self: bool = SelectionParams.include_self
     sigma: float | None = None     # None: estimate from the noisy image
     threshold_scale: float = 1.0
     seed: int = GaParams.seed
@@ -65,20 +63,17 @@ class DenoiseConfig:
         if self.sigma is not None and not 0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be finite and >= 0, "
                              f"got {self.sigma}")
-        # raise here, not mid-run
+        # raise here, not mid-run; GaParams checks n_c and l2_t as well
         l2_t = math.inf if self.l2_t is None else self.l2_t
-        self.selection_params(l2_t)
         if self.engine == "ga":
-            if not self.include_self:
-                raise ValueError("include_self=False is not supported by "
-                                 "the 'ga' engine, only by 'exhaustive'")
             self.ga_params(l2_t)
+        else:
+            self.selection_params(l2_t)
         if self.seed < 0:   # for the GA, GaParams has said so already
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def selection_params(self, l2_t: float) -> SelectionParams:
-        return SelectionParams(n_c=self.n_c, l2_t=l2_t,
-                               include_self=self.include_self)
+        return SelectionParams(n_c=self.n_c, l2_t=l2_t)
 
     def ga_params(self, l2_t: float) -> GaParams:
         return GaParams(n_c=self.n_c, n_p=self.n_p, g_max=self.g_max,
@@ -98,7 +93,7 @@ class RunStats:
     seed: int
     psnr_in: float | None = None
     psnr_out: float | None = None
-    gram_pairs: int = 0   # pairs the Gram shortlists priced (GA: to classify)
+    gram_pairs: int = 0   # pairs the Gram shortlists priced, either engine
     short_rows: int | None = None   # GA: windows whose gate passes < n_c
     block_rows: int | None = None   # GA: rows of its largest search block
 
@@ -210,16 +205,16 @@ def denoise_image(noisy, cfg: DenoiseConfig, trace=None, threads: int = 1):
     t = universal_threshold(sigma, cfg.m, cfg.threshold_scale)
     l2_t = cfg.l2_t if cfg.l2_t is not None else noise_gate(sigma, cfg.m)
 
-    blocks = ga.ref_blocks(geom.n_w)
+    blocks = ref_blocks(geom.n_w)
+    shortlists, gram_pairs = gram_shortlist(coeffs, cfg.n_c)
     short = block_rows = None
     if cfg.engine == "exhaustive":
         params = cfg.selection_params(l2_t)
-        shortlists, gram_pairs = gram_shortlist(coeffs, params)
         closest = (exhaustive_select(ref_idx, coeffs, params, shortlist)
                    for ref_idx, shortlist in enumerate(shortlists))
     else:
-        closest, short, gram_pairs = ga_closest_sets(
-            coeffs, cfg.ga_params(l2_t), blocks, trace)
+        closest, short = closest_sets(coeffs, cfg.ga_params(l2_t), blocks,
+                                      shortlists, trace)
         block_rows = max(len(b) - int(np.count_nonzero(short[b]))
                          for b in blocks)
 
@@ -258,40 +253,3 @@ def denoise_image(noisy, cfg: DenoiseConfig, trace=None, threads: int = 1):
                      block_rows=block_rows)
     return out, stats
 
-
-def ga_closest_sets(coeffs: np.ndarray, p: GaParams, blocks, trace=None):
-    """(closest sets, short, gram pairs) for the reference windows of
-    `blocks` (index arrays), in order; `short` marks each row whose gate
-    passes fewer than n_c windows, and gram pairs counts the pairs that
-    `gram_shortlist` priced to find them.
-
-    Ungated shortlists (`gram_shortlist`) hold each window's exact top
-    n_c, ties included, and the gate is monotone in distance. Per block,
-    each row's shortlist is priced into a DistanceCache row (padded to the
-    block's width with its own entries; `lookup` prices each pair once),
-    and a row is short when fewer than n_c of it pass `passes_gate`. A
-    short row's archive can never fill, and its cache row holds all that
-    its GA answer reads. Every pair was either priced by the Gram or ruled
-    out by its norm bound, so it reports n_w evaluations. Only the other
-    rows are searched. Every closest set comes from `ga_select`, which
-    replays a searched row's trace records.
-    """
-    shortlists, gram_pairs = gram_shortlist(coeffs,
-                                            SelectionParams(n_c=p.n_c))
-    sets, short = [], []
-    for refs in blocks:
-        cache = DistanceCache(coeffs, refs)
-        width = max(len(shortlists[r]) for r in refs.tolist())
-        cache.lookup(np.stack([np.resize(shortlists[r], width)
-                               for r in refs.tolist()]), np.arange(len(refs)))
-        is_short = np.count_nonzero(passes_gate(cache.values, p.l2_t),
-                                    axis=1) < p.n_c
-        cache.evaluations[is_short] = cache.n_w
-        searches = iter(ga.search_block(coeffs, refs[~is_short], p,
-                                        record=trace is not None))
-        for i, r in enumerate(refs.tolist()):
-            search = (GaSearch(cache, i, BestSet(r)) if is_short[i]
-                      else next(searches))
-            sets.append(ga_select(r, coeffs, p, trace, search=search))
-        short.append(is_short)
-    return sets, np.concatenate(short), gram_pairs

@@ -21,8 +21,10 @@ monotone in distance, so the result equals the full scan's, ties and their
 order included. A Gram block holds at most GRAM_BLOCK_ENTRIES float64
 values (1 MiB), so memory does not grow as n_w^2. Every pair is either
 priced or ruled out by the bound, so a selection still reports n_w
-evaluations (n_w - 1 without self); `gram_shortlist` also returns the
-pairs it priced.
+evaluations; `gram_shortlist` also returns the pairs it priced. The
+reference is always one of its own candidates, as in the paper, where a
+window is matched against a duplicate of the noisy image; to leave it out
+of its own neighbours, raise n_c by one.
 """
 
 import warnings
@@ -35,7 +37,6 @@ import numpy as np
 class SelectionParams:
     n_c: int = 16
     l2_t: float = np.inf
-    include_self: bool = True
 
     def __post_init__(self):
         if self.n_c < 1:
@@ -117,15 +118,10 @@ def exhaustive_select(ref_idx: int, coeffs: np.ndarray,
         raise IndexError(f"reference index {ref_idx} out of range [0, {n_w})")
     dists = distances_from(coeffs, ref_idx, candidates)
     cand = np.arange(n_w) if candidates is None else np.asarray(candidates)
-    evaluations = n_w
-    if not params.include_self:
-        keep = cand != ref_idx
-        cand, dists = cand[keep], dists[keep]
-        evaluations = n_w - 1
     gate = passes_gate(dists, params.l2_t)
     cand, dists = cand[gate], dists[gate]
     order = rank_ascending(cand, dists)[:params.n_c]
-    return ClosestSet(ref_idx, cand[order], dists[order], evaluations)
+    return ClosestSet(ref_idx, cand[order], dists[order], n_w)
 
 
 # float64 values in one Gram block, and in one block of windows that
@@ -133,7 +129,7 @@ def exhaustive_select(ref_idx: int, coeffs: np.ndarray,
 GRAM_BLOCK_ENTRIES = 2 ** 17
 
 
-def gram_shortlist(coeffs: np.ndarray, params: SelectionParams):
+def gram_shortlist(coeffs: np.ndarray, n_c: int):
     """(shortlists, pairs): per reference window, the candidate indices
     that can be among its exact n_c nearest, found from blocked Gram
     distances; and the number of pairs the Gram products priced.
@@ -142,8 +138,7 @@ def gram_shortlist(coeffs: np.ndarray, params: SelectionParams):
     argsort), and the reference rows in blocks of GRAM_BLOCK_ENTRIES // n_w.
     For each block:
     - a core product prices its rows against their norm neighbourhood,
-      the block's rows +- n_c (one more with `include_self` off, whose self
-      pair is masked out), so every row has n_c candidates in it;
+      the block's rows +- n_c, so every row has n_c candidates in it;
     - the core's n_c-th value per row plus `margin` bounds the row's n_c-th
       distance from above, and with a rounding allowance `allow` it gives
       one contiguous band [a, b) of norm-sorted columns, the core included,
@@ -204,8 +199,7 @@ def gram_shortlist(coeffs: np.ndarray, params: SelectionParams):
       n_c nor tied with its n_c-th member.
     """
     n_w = len(coeffs)
-    n_c = params.n_c
-    if n_c >= (n_w if params.include_self else n_w - 1):
+    if n_c >= n_w:
         return [np.arange(n_w)] * n_w, 0
     flat = coeffs.reshape(n_w, -1)
     sq = np.einsum("ij,ij->i", flat, flat)
@@ -215,7 +209,6 @@ def gram_shortlist(coeffs: np.ndarray, params: SelectionParams):
     slack = 8 * (flat.shape[1] + 4) * np.finfo(np.float64).eps
     margin = slack * (sq + sq[-1])
     allow = slack * norm[-1]
-    reach = n_c + (not params.include_self)
     rows = max(1, GRAM_BLOCK_ENTRIES // n_w)
     # one block's Gram values; column j holds the j-th window by norm
     d2 = np.empty((rows, n_w))
@@ -231,10 +224,8 @@ def gram_shortlist(coeffs: np.ndarray, params: SelectionParams):
 
     for lo in range(0, n_w, rows):
         hi = min(lo + rows, n_w)
-        c0, c1 = max(0, lo - reach), min(n_w, hi + reach)
+        c0, c1 = max(0, lo - n_c), min(n_w, hi + n_c)
         price(lo, hi, c0, c1)
-        if not params.include_self:
-            d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
         kth = np.partition(d2[:hi - lo, c0:c1], n_c - 1, axis=1)[:, n_c - 1]
         radius = np.sqrt(kth + margin[lo:hi]) + allow
         a = min(c0, int(np.searchsorted(norm, (norm[lo:hi] - radius).min(),

@@ -23,6 +23,12 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             BenchPlan(sigmas=())
 
+    @pytest.mark.parametrize("name", ["images", "engines", "seeds"])
+    def test_empty_axis(self, name):
+        # a sweep with no cells would report nothing, without an error
+        with pytest.raises(ValueError, match=f"{name} must be non-empty"):
+            BenchPlan(**{name: ()})
+
     def test_unknown_engine(self):
         with pytest.raises(ValueError):
             BenchPlan(engines=("exhaustive", "bogus"))

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 import mwdenoise.ga as ga_mod
-import mwdenoise.pipeline as pipeline_mod
 from mwdenoise import ghm
 from mwdenoise.ga import (BestSet, Chromosome, DistanceCache, GaParams,
-                          crossover, fitness, ga_select, init_population,
+                          crossover, ga_select, init_population,
                           mutate, mutation_mask, ref_blocks, ref_stream,
                           search_block, select_parents, update_best_set)
 from mwdenoise.image_io import add_awgn
@@ -54,6 +53,15 @@ class TestParams:
         with pytest.raises(ValueError):
             GaParams(n_p=7, l2_t=BIG)
 
+    @pytest.mark.parametrize("kwargs,match", [
+        (dict(n_c=0), "n_c must be >= 1, got 0"),
+        (dict(l2_t=0.0), "l2_t must be > 0, got 0.0")])
+    def test_selection_checks_inherited(self, kwargs, match):
+        # n_c and l2_t are the scan's settings, declared and checked once
+        assert isinstance(GaParams(), SelectionParams)
+        with pytest.raises(ValueError, match=match):
+            GaParams(**kwargs)
+
 
 class TestInitPopulation:
     def test_shape_range_distinctness(self, coeffs):
@@ -92,19 +100,6 @@ class TestInitPopulation:
 
 
 class TestFitness:
-    def test_constant_windows_zero(self):
-        coeffs = np.zeros((10, 8, 8))
-        cache = DistanceCache(coeffs, 0)
-        assert fitness(np.array([1, 2, 3]), cache) == 0.0
-
-    def test_two_term_mean(self):
-        # hand-built stack: windows at distances exactly 3 and 5 from ref
-        coeffs = np.zeros((3, 8, 8))
-        coeffs[1, 0, 0] = 3.0
-        coeffs[2, 0, 0] = 5.0
-        cache = DistanceCache(coeffs, 0)
-        assert fitness(np.array([1, 2]), cache) == pytest.approx(4.0)
-
     def test_self_gene_contributes_zero(self, coeffs):
         cache = DistanceCache(coeffs, 5)
         d = cache.lookup(np.array([5]))
@@ -526,7 +521,7 @@ class TestGoldenStream:
             found.append(ga_select(*args, **kwargs))
             return found[-1]
 
-        monkeypatch.setattr(pipeline_mod, "ga_select", spy)
+        monkeypatch.setattr(ga_mod, "ga_select", spy)
         noisy = add_awgn(ct_phantom(64), 15, 0)
         cfg = DenoiseConfig(m=8, s_size=4, engine="ga", sigma=15.0,
                             threshold_scale=0.25, seed=2)
@@ -534,6 +529,18 @@ class TestGoldenStream:
         assert (_sha(out), stats.distance_evals) == GOLDEN_DENOISE
         assert [s.ref_idx for s in found] == list(range(225))
         assert all(s.ref_idx in s.gated_indices for s in found)
+
+
+@pytest.mark.parametrize("select", [exhaustive_select, ga_select])
+@pytest.mark.parametrize("at_end", [False, True], ids=["-1", "n_w"])
+def test_bad_reference_rejected(coeffs, select, at_end):
+    # both engines take a GaParams (a SelectionParams) and check the index
+    # before any work
+    n_w = len(coeffs)
+    ref = n_w if at_end else -1
+    with pytest.raises(IndexError, match=rf"reference index {ref} out of "
+                                         rf"range \[0, {n_w}\)"):
+        select(ref, coeffs, GaParams(l2_t=BIG))
 
 
 def _same_select(a, b):

@@ -6,6 +6,7 @@ import pytest
 from mwdenoise import ga as ga_mod
 from mwdenoise import ghm
 from mwdenoise import pipeline as pipeline_mod
+from mwdenoise import selection as selection_mod
 from mwdenoise.ga import GaParams
 from mwdenoise.image_io import add_awgn, psnr
 from mwdenoise.phantom import ct_phantom
@@ -253,7 +254,7 @@ class TestDenoiseImage:
         # searched one. Every row of the 48-px image is short; at 64 px
         # some search.
         calls, records = [], []
-        select = pipeline_mod.ga_select
+        select = ga_mod.ga_select
 
         def spy(ref_idx, *args, **kwargs):
             before = len(records)
@@ -261,7 +262,7 @@ class TestDenoiseImage:
             calls.append((ref_idx, [r[0] for r in records[before:]]))
             return found
 
-        monkeypatch.setattr(pipeline_mod, "ga_select", spy)
+        monkeypatch.setattr(ga_mod, "ga_select", spy)
         for size, all_short in ((48, True), (64, False)):
             noisy = add_awgn(ct_phantom(size), 15, 3)
             cfg = DenoiseConfig(m=8, s_size=4, engine="ga", sigma=15.0,
@@ -289,6 +290,24 @@ class TestDenoiseImage:
             if not all_short:
                 assert max(len(gens) for _, gens in calls) > 1
 
+    @pytest.mark.parametrize("engine", ["exhaustive", "ga"])
+    def test_shortlists_built_once(self, monkeypatch, engine):
+        # both engines start from one gram_shortlist call per image
+        calls = []
+        build = selection_mod.gram_shortlist
+
+        def spy(coeffs, n_c):
+            calls.append((len(coeffs), n_c))
+            return build(coeffs, n_c)
+
+        monkeypatch.setattr(selection_mod, "gram_shortlist", spy)
+        monkeypatch.setattr(pipeline_mod, "gram_shortlist", spy)
+        noisy = add_awgn(ct_phantom(48), 15, 3)
+        cfg = DenoiseConfig(m=8, s_size=4, engine=engine, sigma=15.0,
+                            threshold_scale=0.25, seed=1)
+        denoise_image(noisy, cfg)
+        assert calls == [(build_grid(noisy, 8, 4).n_w, cfg.n_c)]
+
     def test_sigma_estimated_when_unknown(self):
         noisy = add_awgn(ct_phantom(64), 20, 4)
         cfg = DenoiseConfig(m=8, s_size=4, threshold_scale=0.25)
@@ -315,9 +334,8 @@ class TestDenoiseImage:
         assert stats.short_rows == n_w   # every row; see the trace test
         assert f"short_rows={n_w}" in stats.as_block().splitlines()
         assert stats.block_rows == 0   # no row searched
-        # the classification's pairs, not the GA's distance evaluations
-        _, pairs = gram_shortlist(window_coeffs(noisy),
-                                  SelectionParams(n_c=cfg.n_c))
+        # the shortlists' pairs, not the GA's distance evaluations
+        _, pairs = gram_shortlist(window_coeffs(noisy), cfg.n_c)
         assert 0 < stats.gram_pairs == pairs <= n_w * n_w
         assert f"gram_pairs={pairs}" in stats.as_block().splitlines()
 
@@ -349,11 +367,6 @@ class TestValidation:
         # inf would zero every detail band
         with pytest.raises(ValueError, match="threshold_scale"):
             DenoiseConfig(threshold_scale=scale)
-
-    def test_ga_rejects_include_self_off(self):
-        with pytest.raises(ValueError, match="'ga' engine"):
-            DenoiseConfig(engine="ga", include_self=False)
-        DenoiseConfig(engine="exhaustive", include_self=False)
 
     def test_negative_ga_seed_rejected(self):
         # numpy would reject it only after the transform
@@ -467,15 +480,17 @@ def _sha(out) -> str:
 # on blocks of windows: (case, phantom size, DenoiseConfig kwargs, sha256
 # of the output, distance evaluations, rows with no member but self).
 # Noise is add_awgn(ct_phantom(size), 20, 7). The gate of 200 leaves most
-# rows memberless, the gate of 60 every row.
+# rows memberless, the gate of 60 every row. "no-self" was recorded with
+# the reference left out of its own candidates; n_c one larger gives the
+# same bytes.
 BASE = dict(m=8, s_size=4, sigma=20.0, threshold_scale=0.25)
 GOLDEN_EXHAUSTIVE = (
     ("self", 64, BASE,
      "f4937859553c4bfca4f3dec17bf3d634818307ec23046b379b8d5dbfe6ff79aa",
      50625, 97),
-    ("no-self", 64, dict(BASE, include_self=False),
+    ("no-self", 64, dict(BASE, n_c=17),
      "9ec9e7f18d79ef7621f236221b7d49e172c8ade2c675c5904d91a1a197c476d1",
-     50400, 97),
+     50625, 97),
     ("estimated-sigma", 64, dict(BASE, sigma=None),
      "ca3cfc6c4d88b1cb7ff2bcb3d32d3d11fce060289c5714ed8340ba8fcc47f166",
      50625, 77),
@@ -549,7 +564,7 @@ class TestShortRows:
         """The closest sets of a denoise, the reference of each ga_select
         call and the references passed to ga.search_block, in call order."""
         found, selected, searched = [], [], []
-        select, block = pipeline_mod.ga_select, ga_mod.search_block
+        select, block = ga_mod.ga_select, ga_mod.search_block
 
         def spy(ref_idx, *args, **kwargs):
             selected.append(ref_idx)
@@ -563,7 +578,7 @@ class TestShortRows:
         def scan(*args, **kwargs):
             raise AssertionError("the GA path ran the exhaustive scan")
 
-        monkeypatch.setattr(pipeline_mod, "ga_select", spy)
+        monkeypatch.setattr(ga_mod, "ga_select", spy)
         monkeypatch.setattr(ga_mod, "search_block", search_spy)
         monkeypatch.setattr(pipeline_mod, "exhaustive_select", scan)
         denoise_image(noisy, cfg)
@@ -588,8 +603,9 @@ class TestShortRows:
         gated = np.array([np.count_nonzero(distances_from(coeffs, r) < l2_t)
                           for r in range(n_w)])
         short = gated < cfg.n_c
-        _, classified, _ = pipeline_mod.ga_closest_sets(
-            coeffs, cfg.ga_params(l2_t), ga_mod.ref_blocks(n_w))
+        lists, _ = gram_shortlist(coeffs, cfg.n_c)
+        _, classified = ga_mod.closest_sets(
+            coeffs, cfg.ga_params(l2_t), ga_mod.ref_blocks(n_w), lists)
         assert np.array_equal(classified, short)
         found, selected, searched = self.closest_sets(monkeypatch, noisy,
                                                       cfg)
@@ -623,10 +639,10 @@ class TestShortRows:
         # cache holds its shortlist alone, with the canonical kernel's bits
         coeffs = window_coeffs(tiled(32, 5))
         p = GaParams(n_c=17, l2_t=1e-6)
-        lists, _ = gram_shortlist(coeffs, SelectionParams(n_c=p.n_c))
+        lists, _ = gram_shortlist(coeffs, p.n_c)
         assert len({len(c) for c in lists}) > 1
         priced, searches = [], {}
-        kernel, select = ga_mod.distances_from, pipeline_mod.ga_select
+        kernel, select = ga_mod.distances_from, ga_mod.ga_select
 
         def count(flat, refs, cands):
             priced.append(len(cands))
@@ -637,9 +653,9 @@ class TestShortRows:
             return select(ref_idx, *args, search=search, **kwargs)
 
         monkeypatch.setattr(ga_mod, "distances_from", count)
-        monkeypatch.setattr(pipeline_mod, "ga_select", spy)
-        _, short, _ = pipeline_mod.ga_closest_sets(
-            coeffs, p, ga_mod.ref_blocks(len(lists)))
+        monkeypatch.setattr(ga_mod, "ga_select", spy)
+        _, short = ga_mod.closest_sets(coeffs, p,
+                                       ga_mod.ref_blocks(len(lists)), lists)
         assert short.all()
         assert sum(priced) == sum(len(c) for c in lists)
         for r, c in enumerate(lists):

@@ -80,8 +80,6 @@ def brute_force_select(ref_idx, coeffs, params):
     """Independent oracle: materialize every distance, python-sort, gate."""
     entries = []
     for j in range(len(coeffs)):
-        if j == ref_idx and not params.include_self:
-            continue
         d = float(np.sqrt(((coeffs[ref_idx] - coeffs[j]) ** 2).sum()))
         if d < params.l2_t:
             entries.append((d, j))
@@ -103,10 +101,11 @@ class TestExhaustiveSelect:
             assert np.allclose(res.distances, [d for d, _ in oracle])
 
     def test_tight_gate_excludes_all(self, coeffs):
-        params = SelectionParams(n_c=4, l2_t=1e-9, include_self=False)
+        # all but the reference itself, at distance 0
+        params = SelectionParams(n_c=4, l2_t=1e-9)
         res = exhaustive_select(0, coeffs, params)
-        assert len(res) == 0
-        assert res.evaluations == len(coeffs) - 1
+        assert res.indices.tolist() == [0] and res.distances.tolist() == [0.0]
+        assert res.evaluations == len(coeffs)
 
     def test_evaluation_count(self, coeffs):
         res = exhaustive_select(0, coeffs, SelectionParams(n_c=4, l2_t=BIG))
@@ -196,7 +195,7 @@ class TestGramShortlist:
 
     @staticmethod
     def assert_exact(coeffs, params):
-        shortlists, pairs = gram_shortlist(coeffs, params)
+        shortlists, pairs = gram_shortlist(coeffs, params.n_c)
         n_w = len(coeffs)
         assert len(shortlists) == n_w
         assert 0 <= pairs <= n_w * n_w
@@ -211,30 +210,29 @@ class TestGramShortlist:
             assert fast.gated == full.gated
 
     @staticmethod
-    def case_params(coeffs, n_c, gate, include_self):
+    def case_params(coeffs, n_c, gate):
         flat = coeffs.reshape(len(coeffs), -1)
         # the median distance from window 0 gates about half the pairs
         l2_t = (float(np.median(np.linalg.norm(flat - flat[0], axis=1)))
                 if gate else np.inf)
-        return SelectionParams(n_c=n_c, l2_t=max(l2_t, 1e-9),
-                               include_self=include_self)
+        return SelectionParams(n_c=n_c, l2_t=max(l2_t, 1e-9))
 
     @pytest.mark.parametrize("case", sorted(SHORTLIST_CASES))
     @pytest.mark.parametrize("gate", [False, True])
-    @pytest.mark.parametrize("include_self", [True, False])
-    def test_matches_full_scan(self, case, gate, include_self):
+    # n_c one larger: the way to leave the reference out of its neighbours
+    @pytest.mark.parametrize("one_more", [True, False])
+    def test_matches_full_scan(self, case, gate, one_more):
         img, m, s_size = SHORTLIST_CASES[case]
         coeffs = window_coeffs(img, m, s_size)
-        self.assert_exact(coeffs, self.case_params(coeffs, 4, gate,
-                                                   include_self))
+        self.assert_exact(coeffs, self.case_params(coeffs, 4 + one_more,
+                                                   gate))
 
-    @pytest.mark.parametrize("include_self", [True, False])
-    def test_n_c_at_least_n_w(self, include_self):
+    @pytest.mark.parametrize("gate", [True, False])
+    def test_n_c_at_least_n_w(self, gate):
         coeffs = window_coeffs(add_awgn(ct_phantom(32), 20, 6), 8, 8)
         n_w = len(coeffs)
         for n_c in (n_w - 1, n_w, n_w + 5):
-            params = SelectionParams(n_c=n_c, include_self=include_self)
-            self.assert_exact(coeffs, params)
+            self.assert_exact(coeffs, self.case_params(coeffs, n_c, gate))
 
     def test_blocks_smaller_than_image(self, monkeypatch):
         # many blocks of a few reference rows, the last one partial, each
@@ -248,32 +246,30 @@ class TestGramShortlist:
                 assert rows < n_w and (rows == 1 or n_w % rows), case
                 monkeypatch.setattr(selection_mod, "GRAM_BLOCK_ENTRIES",
                                     entries)
-                for n_c in (1, 4, 16):
+                for n_c in (1, 4, 16, 17):
                     for gate in (False, True):
-                        for include_self in (True, False):
-                            self.assert_exact(coeffs, self.case_params(
-                                coeffs, n_c, gate, include_self))
+                        self.assert_exact(coeffs, self.case_params(
+                            coeffs, n_c, gate))
 
     @pytest.mark.parametrize("case", sorted(SHORTLIST_CASES))
     def test_shortlists_stay_short(self, case):
         # duplicate and constant images put many windows within the margin
         img, m, s_size = SHORTLIST_CASES[case]
-        shortlists, _ = gram_shortlist(window_coeffs(img, m, s_size),
-                                       SelectionParams(n_c=4))
+        shortlists, _ = gram_shortlist(window_coeffs(img, m, s_size), 4)
         assert max(len(c) for c in shortlists) <= 8
 
     @pytest.mark.parametrize("case", ["constant", "equal-norms"])
     def test_equal_norms_price_every_pair(self, case):
         img, m, s_size = SHORTLIST_CASES[case]
         coeffs = window_coeffs(img, m, s_size)
-        _, pairs = gram_shortlist(coeffs, SelectionParams(n_c=4))
+        _, pairs = gram_shortlist(coeffs, 4)
         assert pairs == len(coeffs) ** 2
 
     def test_bands_prune_most_pairs_at_512(self):
         # 39% of the pairs are priced at sigma 20; a band that silently
         # widens toward every pair fails here
         coeffs = window_coeffs(add_awgn(ct_phantom(512), 20, 1), 16, 8)
-        _, pairs = gram_shortlist(coeffs, SelectionParams())
+        _, pairs = gram_shortlist(coeffs, SelectionParams.n_c)
         assert pairs <= 0.6 * len(coeffs) ** 2
 
 
@@ -282,7 +278,7 @@ def test_denoise_shortlist_equals_full_scan(monkeypatch):
     cfg = DenoiseConfig(m=8, s_size=4, threshold_scale=0.25)
     out, stats = denoise_image(noisy, cfg)
     monkeypatch.setattr(pipeline_mod, "gram_shortlist",
-                        lambda coeffs, params:
+                        lambda coeffs, n_c:
                         ([np.arange(len(coeffs))] * len(coeffs), 0))
     ref_out, ref_stats = denoise_image(noisy, cfg)
     assert out.tobytes() == ref_out.tobytes()
