@@ -5,11 +5,11 @@ repeat when comparing two versions of the code. This runs the GA, as the
 pipeline does, for every 15th window of the paper's geometry (m=16,
 s_size=8, n_w = 3969): 264 references by default, searched in blocks of
 the row count the image's own blocks get. As in a denoise,
-`selection.gram_shortlist` builds the Gram shortlists once for the whole
-image, and `ga.closest_sets` answers each sample block from them: its
-short rows are read off their shortlists and the others searched. It
-prints the seconds both steps take together, the short count, the
-distance evaluations and a sha256 over each closest set's index and
+`selection.gram_shortlist` ranks each window's exact top n_c once for the
+whole image, and `ga.closest_sets` answers each sample block from that
+table: its short rows are read off their table rows and the others
+searched. It prints the seconds both steps take together, the short count,
+the distance evaluations and a sha256 over each closest set's index and
 distance bytes, so two runs compare both time and results:
 
     PYTHONPATH=src python demos/ga512_sample.py [--refs N]
@@ -44,9 +44,10 @@ p = ga.GaParams(l2_t=noise_gate(SIGMA, M), seed=0)
 
 digest = hashlib.sha256()
 start = time.perf_counter()
-shortlists, _ = gram_shortlist(coeffs, p.n_c)
+nearest, distances, _ = gram_shortlist(coeffs, p.n_c)
 sets, short = ga.closest_sets(
-    coeffs, p, np.array_split(sample, -(-len(sample) // rows)), shortlists)
+    coeffs, p, np.array_split(sample, -(-len(sample) // rows)),
+    (nearest, distances))
 seconds = time.perf_counter() - start
 for found in sets:
     digest.update(found.indices.tobytes())

@@ -27,10 +27,10 @@ leaves the block after the generation its lone run would have stopped at.
 off the cache, the fallback fill, the trace records); without a search it
 runs the one-row block, folding each generation as it goes.
 
-`closest_sets` is the engine's entry point. It starts from the Gram
-shortlists that `selection.gram_shortlist` builds for either engine: a
-short row, whose gate passes fewer than n_c of its shortlist, can never
-fill its archive, so it is answered from its priced shortlist unsearched,
+`closest_sets` is the engine's entry point. It starts from the table of
+each window's exact top n_c that `selection.gram_shortlist` ranks for
+either engine: a short row, whose n_c-th distance fails the gate, can
+never fill its archive, so it is answered from its table row unsearched,
 and only the other rows go to `search_block`.
 
 Draws. Each draw is a pure function of its address,
@@ -51,18 +51,17 @@ or 129 rows at 512x512. `ref_blocks` splits an image's windows into the
 fewest near-equal blocks within that budget, so the fixed numpy cost of a
 block-generation is paid as few times as the memory allows. `lookup`
 prices coefficients with the scan's kernel (`selection.distances_from`)
-and `_fill` checks genes, PRICE_ENTRIES at a time.
+and `_fill` checks genes, `selection.PRICE_ENTRIES` at a time.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .selection import (ClosestSet, SelectionParams, distances_from,
-                        passes_gate, rank_ascending)
+from .selection import (PRICE_ENTRIES, ClosestSet, SelectionParams,
+                        distances_from, passes_gate, rank_ascending)
 
 GA_BLOCK_ENTRIES = 2 ** 19   # cache entries per block, to share out overhead
-PRICE_ENTRIES = 2 ** 14      # coefficients priced, or genes checked, at once
 INIT, REPAIR, MUTATE = 0, 1, 2   # the `op` of a draw's address
 # splitmix64 Weyl steps and finalizer (0-d arrays apply faster than scalars)
 _STEPS = (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9,
@@ -124,7 +123,7 @@ class DistanceCache:
     """Memoized distances from one reference window (an int `ref_idx`) or
     from each of a block of them (a sequence). `values` holds one row per
     reference, NaN where a window is not priced yet, and `evaluations` one
-    count per row: one per pair priced, n_w for a Gram shortlist's row."""
+    count per row: one per pair priced, n_w for a row of the Gram table."""
 
     def __init__(self, coeffs: np.ndarray, ref_idx):
         self.flat = coeffs.reshape(len(coeffs), -1)
@@ -509,36 +508,36 @@ def ga_select(ref_idx: int, coeffs: np.ndarray, p: GaParams,
                       search.evaluations, gated=len(best))
 
 
-def closest_sets(coeffs: np.ndarray, p: GaParams, blocks, shortlists,
+def closest_sets(coeffs: np.ndarray, p: GaParams, blocks, nearest,
                  trace=None):
     """(closest sets, short) for the reference windows of `blocks` (index
     arrays), in order; `short` marks each row whose gate passes fewer than
     n_c windows.
 
-    `shortlists` are `selection.gram_shortlist`'s, for every window: each
-    holds its window's exact top n_c, ties included, and the gate is
-    monotone in distance. Per block, each row's shortlist is priced into a
-    DistanceCache row (padded to the block's width with its own entries;
-    `lookup` prices each pair once), and a row is short when fewer than n_c
-    of it pass `passes_gate`. A short row's archive can never fill, and its
-    cache row holds all that its GA answer reads. Every pair was either
-    priced by the Gram or ruled out by its norm bound, so it reports n_w
-    evaluations. Only the other rows are searched. Every closest set comes
+    `nearest` is `selection.gram_shortlist`'s table (indices, distances) of
+    each window's exact, ungated top n_c, with the canonical kernel's bits.
+    The gate is monotone in distance, so a row is short when fewer than n_c
+    of its table row pass `passes_gate`. A short row's archive can never
+    fill: its table row, written into a DistanceCache row, holds all that
+    its GA answer reads, so no pair is priced again, and it reports n_w
+    evaluations, as each pair was priced by the Gram or ruled out by its
+    norm bound. Only the other rows are searched. Every closest set comes
     from `ga_select`, which replays a searched row's trace records.
     """
+    idx, dist = nearest
     sets, short = [], []
     for refs in blocks:
-        cache = DistanceCache(coeffs, refs)
-        width = max(len(shortlists[r]) for r in refs.tolist())
-        cache.lookup(np.stack([np.resize(shortlists[r], width)
-                               for r in refs.tolist()]), np.arange(len(refs)))
-        is_short = np.count_nonzero(passes_gate(cache.values, p.l2_t),
+        is_short = np.count_nonzero(passes_gate(dist[refs], p.l2_t),
                                     axis=1) < p.n_c
-        cache.evaluations[is_short] = cache.n_w
+        cache = DistanceCache(coeffs, refs[is_short])
+        cache.values[np.arange(len(cache.refs))[:, None],
+                     idx[cache.refs]] = dist[cache.refs]
+        cache.evaluations[:] = cache.n_w
+        row = (np.cumsum(is_short) - 1).tolist()   # short rows' cache rows
         searches = iter(search_block(coeffs, refs[~is_short], p,
                                      record=trace is not None))
         for i, r in enumerate(refs.tolist()):
-            search = (GaSearch(cache, i, BestSet(r)) if is_short[i]
+            search = (GaSearch(cache, row[i], BestSet(r)) if is_short[i]
                       else next(searches))
             sets.append(ga_select(r, coeffs, p, trace, search=search))
         short.append(is_short)

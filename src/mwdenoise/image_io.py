@@ -85,7 +85,10 @@ def load_pgm(path) -> np.ndarray:
     else:
         values = []
         for tok, _ in it:
-            values.append(int(tok))
+            try:
+                values.append(int(tok))
+            except ValueError:
+                raise PgmError(f"{path}: non-numeric sample {tok!r}") from None
             if len(values) == count:
                 break
         if len(values) < count:

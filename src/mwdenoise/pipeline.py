@@ -2,16 +2,16 @@
 transform-domain thresholding and overlap aggregation.
 
 The work runs on blocks of windows (`ga.ref_blocks`): the fewest
-near-equal blocks whose (rows, n_w) GA distance cache fits a 4 MiB
-budget, one block for a 96x96 image at m=8, s_size=4. Both engines take
-one selection contract (n_c and the gate l2_t) and start from the same
-Gram shortlists, built once per image (`selection.gram_shortlist`): the
-exhaustive scan re-ranks each with `exhaustive_select`, and the GA
-(`ga.closest_sets`) answers its short rows from them and searches the
-rest. The members that pass the gate, self excluded, fill a selection
+near-equal blocks whose (rows, n_w) GA distance cache fits a 4 MiB budget,
+one block for a 96x96 image at m=8, s_size=4. Both engines take one
+selection contract (n_c and the gate l2_t) and start from one table of
+each window's exact, ungated top n_c (`selection.gram_shortlist`): the
+exhaustive scan keeps each row's gated prefix (`exhaustive_select`), the
+GA (`ga.closest_sets`) answers its short rows from the table and searches
+the rest. The members that pass the gate, self excluded, fill a selection
 table of (n_w, n_c) indices in selection order with a count per row. Each
-block is then averaged with its members, summed a column at a time,
-shrunk in the detail bands, inverted and overlap-added in window order.
+block is then averaged with its members, summed a column at a time, shrunk
+in the detail bands, inverted and overlap-added in window order.
 """
 
 import math
@@ -206,15 +206,15 @@ def denoise_image(noisy, cfg: DenoiseConfig, trace=None, threads: int = 1):
     l2_t = cfg.l2_t if cfg.l2_t is not None else noise_gate(sigma, cfg.m)
 
     blocks = ref_blocks(geom.n_w)
-    shortlists, gram_pairs = gram_shortlist(coeffs, cfg.n_c)
+    nearest, distances, gram_pairs = gram_shortlist(coeffs, cfg.n_c)
     short = block_rows = None
     if cfg.engine == "exhaustive":
         params = cfg.selection_params(l2_t)
-        closest = (exhaustive_select(ref_idx, coeffs, params, shortlist)
-                   for ref_idx, shortlist in enumerate(shortlists))
+        closest = (exhaustive_select(ref_idx, coeffs, params, row)
+                   for ref_idx, row in enumerate(zip(nearest, distances)))
     else:
         closest, short = closest_sets(coeffs, cfg.ga_params(l2_t), blocks,
-                                      shortlists, trace)
+                                      (nearest, distances), trace)
         block_rows = max(len(b) - int(np.count_nonzero(short[b]))
                          for b in blocks)
 

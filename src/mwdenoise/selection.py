@@ -12,19 +12,19 @@ distances from BLAS matmuls as ||a||^2 + ||b||^2 - 2 a.b. A small core
 product against the block's norm neighbours bounds each row's n_c-th
 distance, and since ||a - b|| >= | ||a|| - ||b|| |, only the windows in one
 band of norms around the block can reach it; the rest are ruled out
-without being priced. Each reference keeps as its shortlist every
-candidate within a rounding-error margin of its n_c-th smallest value, cut
-to the exact top n_c where duplicate windows make it long.
-`exhaustive_select` then re-ranks that shortlist with the canonical
-kernel `distances_from`, the same one the full scan uses. The gate is
-monotone in distance, so the result equals the full scan's, ties and their
-order included. A Gram block holds at most GRAM_BLOCK_ENTRIES float64
-values (1 MiB), so memory does not grow as n_w^2. Every pair is either
-priced or ruled out by the bound, so a selection still reports n_w
-evaluations; `gram_shortlist` also returns the pairs it priced. The
+without being priced. A row's candidates, those within a rounding-error
+margin of its n_c-th smallest value, are priced with the canonical kernel
+`distances_from`, as the full scan prices them, and a block at a time
+ranked into a table of each window's exact, ungated top n_c.
+`exhaustive_select` keeps the prefix of a row that passes the gate, which
+is monotone in distance, so it equals the full scan, ties and their order
+included. A Gram block holds at most GRAM_BLOCK_ENTRIES float64 values
+(1 MiB), so memory does not grow as n_w^2. Every pair is either priced or
+ruled out by the bound, so a selection still reports n_w evaluations;
+`gram_shortlist` also returns the pairs its Gram products priced. The
 reference is always one of its own candidates, as in the paper, where a
-window is matched against a duplicate of the noisy image; to leave it out
-of its own neighbours, raise n_c by one.
+window is matched against a duplicate of the noisy image; to leave it
+out of its own neighbours, raise n_c by one.
 """
 
 import warnings
@@ -103,36 +103,39 @@ def rank_ascending(indices: np.ndarray, distances: np.ndarray) -> np.ndarray:
 
 
 def exhaustive_select(ref_idx: int, coeffs: np.ndarray,
-                      params: SelectionParams,
-                      candidates: np.ndarray | None = None) -> ClosestSet:
-    """Gate the candidate windows by l2_t, sort, keep n_c.
+                      params: SelectionParams, nearest=None) -> ClosestSet:
+    """Rank every window by (distance, index), keep n_c, then the prefix
+    that passes the gate.
 
-    `candidates` (None: every window) must hold the exact top n_c, as the
-    shortlists of `gram_shortlist` do; the result then equals the full
-    scan's. The evaluation count is that of the full scan either way,
-    because a shortlist comes from settling every pair, by pricing it or
-    by ruling it out.
-    """
+    `nearest` (None: scan every window) is the reference's ranked row of
+    `gram_shortlist`'s table, (indices, distances); nothing is priced then.
+    The evaluation count is the full scan's either way, as the table comes
+    from settling every pair, priced or ruled out."""
     n_w = len(coeffs)
     if not 0 <= ref_idx < n_w:
         raise IndexError(f"reference index {ref_idx} out of range [0, {n_w})")
-    dists = distances_from(coeffs, ref_idx, candidates)
-    cand = np.arange(n_w) if candidates is None else np.asarray(candidates)
-    gate = passes_gate(dists, params.l2_t)
-    cand, dists = cand[gate], dists[gate]
-    order = rank_ascending(cand, dists)[:params.n_c]
-    return ClosestSet(ref_idx, cand[order], dists[order], n_w)
+    if nearest is None:
+        dists = distances_from(coeffs, ref_idx)
+        top = rank_ascending(np.arange(n_w), dists)[:params.n_c]
+        nearest = top, dists[top]
+    cand, dists = nearest
+    gated = np.count_nonzero(passes_gate(dists[:params.n_c], params.l2_t))
+    return ClosestSet(ref_idx, cand[:gated], dists[:gated], n_w)
 
 
 # float64 values in one Gram block, and in one block of windows that
 # ghm.forward_all transforms: 1 MiB
 GRAM_BLOCK_ENTRIES = 2 ** 17
+# coefficients priced, or GA genes checked, at once (not 1 MiB: pricing a
+# 512x512 image's shortlists that way ran 1.5x slower)
+PRICE_ENTRIES = 2 ** 14
 
 
 def gram_shortlist(coeffs: np.ndarray, n_c: int):
-    """(shortlists, pairs): per reference window, the candidate indices
-    that can be among its exact n_c nearest, found from blocked Gram
-    distances; and the number of pairs the Gram products priced.
+    """(nearest, distances, pairs): two (n_w, min(n_c, n_w)) arrays that
+    hold each window's exact top n_c, ungated, ranked by (distance, index)
+    with the canonical kernel's bits; and the number of pairs the Gram
+    products priced.
 
     The windows are taken in ascending order of squared norm sq (a stable
     argsort), and the reference rows in blocks of GRAM_BLOCK_ENTRIES // n_w.
@@ -145,11 +148,11 @@ def gram_shortlist(coeffs: np.ndarray, n_c: int):
       outside which no window can reach that distance (|n_a - n_b| <=
       ||a - b|| for the norms n); only the sides [a, c0) and [c1, b) of the
       core [c0, c1) are priced;
-    - a row keeps each candidate of the band whose Gram value is within
-      `margin` of the band's n_c-th smallest one. A row that keeps more
-      than 2 n_c is cut to its exact top n_c with the canonical kernel.
-    With n_c at least the number of candidates, every window is kept and
-    no pair is priced.
+    - a row's candidates, the band's windows whose Gram value is within
+      `margin` of its n_c-th smallest one, are priced in pair form by
+      `distances_from`, PRICE_ENTRIES coefficients at a time, ranked by
+      `rank_ascending` and cut to n_c.
+    With n_c >= n_w every window is a candidate and no Gram pair is priced.
 
     Why the margin suffices (eps is the float64 machine epsilon, d the
     coefficients per window, and first-order error bounds throughout):
@@ -199,9 +202,31 @@ def gram_shortlist(coeffs: np.ndarray, n_c: int):
       n_c nor tied with its n_c-th member.
     """
     n_w = len(coeffs)
-    if n_c >= n_w:
-        return [np.arange(n_w)] * n_w, 0
     flat = coeffs.reshape(n_w, -1)
+    nearest = np.empty((n_w, min(n_c, n_w)), np.intp)
+    distances = np.empty(nearest.shape)
+    step = max(1, PRICE_ENTRIES // flat.shape[1])   # pairs priced at once
+
+    def rank(refs, row, col):
+        # window col[k] is a candidate of refs[row[k]] (row ascending); it
+        # goes to its row's next free column, and the padding, window n_w
+        # at +inf, ranks after every real candidate
+        at = np.arange(len(row)) - np.searchsorted(row, row)
+        idx = np.full((len(refs), at.max() + 1), n_w, np.intp)
+        dist = np.full(idx.shape, np.inf)
+        idx[row, at] = col
+        dist[row, at] = np.concatenate([
+            distances_from(coeffs, refs[row[k:k + step]], col[k:k + step])
+            for k in range(0, len(col), step)])
+        top = rank_ascending(idx, dist)[:, :nearest.shape[1]]
+        nearest[refs] = np.take_along_axis(idx, top, 1)
+        distances[refs] = np.take_along_axis(dist, top, 1)
+
+    rows = max(1, GRAM_BLOCK_ENTRIES // n_w)
+    if n_c >= n_w:   # every window is a candidate
+        for refs in np.split(np.arange(n_w), range(rows, n_w, rows)):
+            rank(refs, *np.divmod(np.arange(len(refs) * n_w), n_w))
+        return nearest, distances, 0
     sq = np.einsum("ij,ij->i", flat, flat)
     order = np.argsort(sq, kind="stable")
     flat, sq = flat[order], sq[order]
@@ -209,10 +234,8 @@ def gram_shortlist(coeffs: np.ndarray, n_c: int):
     slack = 8 * (flat.shape[1] + 4) * np.finfo(np.float64).eps
     margin = slack * (sq + sq[-1])
     allow = slack * norm[-1]
-    rows = max(1, GRAM_BLOCK_ENTRIES // n_w)
     # one block's Gram values; column j holds the j-th window by norm
     d2 = np.empty((rows, n_w))
-    shortlists = [None] * n_w
     pairs = 0
 
     def price(lo, hi, c0, c1):
@@ -239,20 +262,8 @@ def gram_shortlist(coeffs: np.ndarray, n_c: int):
         pairs += (hi - lo) * (b - a)
         row, col = np.nonzero(d2[:hi - lo, a:b]
                               <= (kth + margin[lo:hi])[:, None])
-        col = order[a:b][col]
-        ends = np.cumsum(np.bincount(row, minlength=hi - lo)).tolist()
-        for ref_idx, start, end in zip(order[lo:hi].tolist(), [0] + ends,
-                                       ends):
-            cand = col[start:end]
-            if len(cand) > 2 * n_c:
-                # many windows within the margin, as with duplicate
-                # windows: keep just the exact top n_c, so shortlists stay
-                # O(n_c) per reference instead of O(n_w)
-                ranked = rank_ascending(
-                    cand, distances_from(coeffs, ref_idx, cand))
-                cand = cand[ranked[:n_c]]
-            shortlists[ref_idx] = cand
-    return shortlists, pairs
+        rank(order[lo:hi], row, order[a:b][col])
+    return nearest, distances, pairs
 
 
 def calibrate_l2t(coeffs: np.ndarray, quantile: float = 0.05,

@@ -175,6 +175,12 @@ class TestPsnr:
         assert main(["psnr", str(clean_pgm), str(other)]) == EXIT_VALIDATION
         capsys.readouterr()
 
+    def test_non_numeric_sample(self, clean_pgm, tmp_path, capsys):
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(b"P2\n2 1\n255\n1 x\n")
+        assert main(["psnr", str(clean_pgm), str(bad)]) == EXIT_VALIDATION
+        assert f"{bad}: non-numeric sample" in capsys.readouterr().err
+
 
 class TestCalibrate:
     def test_prints_threshold(self, noisy_pgm, capsys):

@@ -52,6 +52,11 @@ class TestLoadPgm:
         with pytest.raises(PgmError, match="truncated"):
             load_pgm(p)
 
+    def test_non_numeric_ascii_sample(self, tmp_path):
+        p = write(tmp_path, b"P2\n2 1\n255\n1 x\n")
+        with pytest.raises(PgmError, match=r"img\.pgm: non-numeric sample"):
+            load_pgm(p)
+
 
 class TestSavePgm:
     @pytest.mark.parametrize("binary", [True, False])

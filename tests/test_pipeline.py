@@ -335,7 +335,7 @@ class TestDenoiseImage:
         assert f"short_rows={n_w}" in stats.as_block().splitlines()
         assert stats.block_rows == 0   # no row searched
         # the shortlists' pairs, not the GA's distance evaluations
-        _, pairs = gram_shortlist(window_coeffs(noisy), cfg.n_c)
+        *_, pairs = gram_shortlist(window_coeffs(noisy), cfg.n_c)
         assert 0 < stats.gram_pairs == pairs <= n_w * n_w
         assert f"gram_pairs={pairs}" in stats.as_block().splitlines()
 
@@ -603,9 +603,10 @@ class TestShortRows:
         gated = np.array([np.count_nonzero(distances_from(coeffs, r) < l2_t)
                           for r in range(n_w)])
         short = gated < cfg.n_c
-        lists, _ = gram_shortlist(coeffs, cfg.n_c)
+        nearest, distances, _ = gram_shortlist(coeffs, cfg.n_c)
         _, classified = ga_mod.closest_sets(
-            coeffs, cfg.ga_params(l2_t), ga_mod.ref_blocks(n_w), lists)
+            coeffs, cfg.ga_params(l2_t), ga_mod.ref_blocks(n_w),
+            (nearest, distances))
         assert np.array_equal(classified, short)
         found, selected, searched = self.closest_sets(monkeypatch, noisy,
                                                       cfg)
@@ -632,21 +633,19 @@ class TestShortRows:
         elif case == "all-short":
             assert short.all() and (gated == 1).all()
 
-    def test_padded_shortlists_priced_once(self, monkeypatch):
-        # the tied image's shortlists differ in length, so most are padded
-        # with their own entries; with every row short (no class of tied
-        # windows fills n_c = 17), each pair is priced once, and a row's
-        # cache holds its shortlist alone, with the canonical kernel's bits
+    def test_short_rows_read_off_the_table(self, monkeypatch):
+        # no class of the tied image's windows fills n_c = 17, so every
+        # row is short: classifying them prices no pair, and each row's
+        # cache holds its table row alone, with the canonical kernel's bits
         coeffs = window_coeffs(tiled(32, 5))
-        p = GaParams(n_c=17, l2_t=1e-6)
-        lists, _ = gram_shortlist(coeffs, p.n_c)
-        assert len({len(c) for c in lists}) > 1
+        n_w, p = len(coeffs), GaParams(n_c=17, l2_t=1e-6)
+        nearest, distances, _ = gram_shortlist(coeffs, p.n_c)
         priced, searches = [], {}
         kernel, select = ga_mod.distances_from, ga_mod.ga_select
 
-        def count(flat, refs, cands):
-            priced.append(len(cands))
-            return kernel(flat, refs, cands)
+        def count(*args):
+            priced.append(args)
+            return kernel(*args)
 
         def spy(ref_idx, *args, search, **kwargs):
             searches[ref_idx] = search
@@ -654,12 +653,13 @@ class TestShortRows:
 
         monkeypatch.setattr(ga_mod, "distances_from", count)
         monkeypatch.setattr(ga_mod, "ga_select", spy)
-        _, short = ga_mod.closest_sets(coeffs, p,
-                                       ga_mod.ref_blocks(len(lists)), lists)
-        assert short.all()
-        assert sum(priced) == sum(len(c) for c in lists)
-        for r, c in enumerate(lists):
+        _, short = ga_mod.closest_sets(coeffs, p, ga_mod.ref_blocks(n_w),
+                                       (nearest, distances))
+        assert short.all() and priced == []
+        for r, (idx, dst) in enumerate(zip(nearest, distances)):
+            assert searches[r].evaluations == n_w
             row = searches[r].cache.values[searches[r].row]
             assert np.flatnonzero(~np.isnan(row)).tolist() == \
-                sorted(c.tolist())
-            assert row[c].tobytes() == distances_from(coeffs, r, c).tobytes()
+                sorted(idx.tolist())
+            assert row[idx].tobytes() == dst.tobytes() == \
+                distances_from(coeffs, r, idx).tobytes()

@@ -191,18 +191,24 @@ def uneven_entries(target, n_w):
 
 
 class TestGramShortlist:
-    """Shortlist plus re-rank must reproduce the full scan bit for bit."""
+    """The ranked table must reproduce the full scan bit for bit."""
 
     @staticmethod
     def assert_exact(coeffs, params):
-        shortlists, pairs = gram_shortlist(coeffs, params.n_c)
+        nearest, distances, pairs = gram_shortlist(coeffs, params.n_c)
         n_w = len(coeffs)
-        assert len(shortlists) == n_w
+        assert nearest.shape == distances.shape == (n_w, min(params.n_c, n_w))
         assert 0 <= pairs <= n_w * n_w
-        for ref, cand in enumerate(shortlists):
-            assert len(cand) <= 2 * params.n_c
+        ungated = SelectionParams(n_c=params.n_c)
+        for ref, row in enumerate(zip(nearest, distances)):
+            # the table row is the ungated scan's top n_c, bit for bit
+            top = exhaustive_select(ref, coeffs, ungated)
+            assert row[0].dtype == top.indices.dtype
+            assert row[0].tobytes() == top.indices.tobytes()
+            assert row[1].tobytes() == top.distances.tobytes()
+            # and its gated prefix is the gated scan's
             full = exhaustive_select(ref, coeffs, params)
-            fast = exhaustive_select(ref, coeffs, params, cand)
+            fast = exhaustive_select(ref, coeffs, params, row)
             assert fast.indices.dtype == full.indices.dtype
             assert np.array_equal(fast.indices, full.indices)
             assert fast.distances.tobytes() == full.distances.tobytes()
@@ -251,25 +257,52 @@ class TestGramShortlist:
                         self.assert_exact(coeffs, self.case_params(
                             coeffs, n_c, gate))
 
+    @staticmethod
+    def priced_pairs(monkeypatch, coeffs, n_c):
+        """The pair count of each `distances_from` call of gram_shortlist."""
+        priced, kernel = [], selection_mod.distances_from
+
+        def count(coeffs, refs, cands=None):
+            priced.append(len(cands))
+            return kernel(coeffs, refs, cands)
+
+        monkeypatch.setattr(selection_mod, "distances_from", count)
+        gram_shortlist(coeffs, n_c)
+        return priced
+
     @pytest.mark.parametrize("case", sorted(SHORTLIST_CASES))
-    def test_shortlists_stay_short(self, case):
-        # duplicate and constant images put many windows within the margin
+    def test_shortlists_stay_short(self, monkeypatch, case):
+        # duplicate and constant images put many windows within the
+        # margin; the re-rank still prices them a bounded chunk at a time
         img, m, s_size = SHORTLIST_CASES[case]
-        shortlists, _ = gram_shortlist(window_coeffs(img, m, s_size), 4)
-        assert max(len(c) for c in shortlists) <= 8
+        coeffs = window_coeffs(img, m, s_size)
+        n_w = len(coeffs)
+        priced = self.priced_pairs(monkeypatch, coeffs, 4)
+        assert max(priced) <= selection_mod.PRICE_ENTRIES // (m * m)
+        if case == "constant":   # every window is within every margin
+            assert sum(priced) == n_w * n_w
+        elif case == "duplicates":
+            assert sum(priced) > 2 * 4 * n_w
+
+    def test_clean_512_priced_in_chunks(self, monkeypatch):
+        # a clean phantom's flat regions give rows about 962 candidates
+        coeffs = window_coeffs(ct_phantom(512), 16, 8)
+        priced = self.priced_pairs(monkeypatch, coeffs, SelectionParams.n_c)
+        assert max(priced) <= selection_mod.PRICE_ENTRIES // 256
+        assert sum(priced) > 100 * len(coeffs)
 
     @pytest.mark.parametrize("case", ["constant", "equal-norms"])
     def test_equal_norms_price_every_pair(self, case):
         img, m, s_size = SHORTLIST_CASES[case]
         coeffs = window_coeffs(img, m, s_size)
-        _, pairs = gram_shortlist(coeffs, 4)
+        *_, pairs = gram_shortlist(coeffs, 4)
         assert pairs == len(coeffs) ** 2
 
     def test_bands_prune_most_pairs_at_512(self):
         # 39% of the pairs are priced at sigma 20; a band that silently
         # widens toward every pair fails here
         coeffs = window_coeffs(add_awgn(ct_phantom(512), 20, 1), 16, 8)
-        _, pairs = gram_shortlist(coeffs, SelectionParams.n_c)
+        *_, pairs = gram_shortlist(coeffs, SelectionParams.n_c)
         assert pairs <= 0.6 * len(coeffs) ** 2
 
 
@@ -277,9 +310,10 @@ def test_denoise_shortlist_equals_full_scan(monkeypatch):
     noisy = add_awgn(ct_phantom(128), 20, 8)
     cfg = DenoiseConfig(m=8, s_size=4, threshold_scale=0.25)
     out, stats = denoise_image(noisy, cfg)
-    monkeypatch.setattr(pipeline_mod, "gram_shortlist",
-                        lambda coeffs, n_c:
-                        ([np.arange(len(coeffs))] * len(coeffs), 0))
+    # the full scan, ignoring each window's row of the table
+    monkeypatch.setattr(pipeline_mod, "exhaustive_select",
+                        lambda ref_idx, coeffs, params, row:
+                        exhaustive_select(ref_idx, coeffs, params))
     ref_out, ref_stats = denoise_image(noisy, cfg)
     assert out.tobytes() == ref_out.tobytes()
     assert stats.distance_evals == ref_stats.distance_evals
