@@ -20,8 +20,8 @@ the archive can be read off the distance cache.
 Lockstep blocks. `search_block` runs the GA for a block of reference
 windows at once: the population is a (rows, n_p, n_c) array and the
 distance cache a (rows, n_w) array, NaN where a window is not priced yet.
-The operators and `DistanceCache.lookup` work on whole rows; a 1-D gene
-string drawing from a numpy `Generator` is their one-row case. A row
+The operators and `DistanceCache.lookup` work on whole rows; a numpy
+`Generator` in place of the row keys is their one-row case. A row
 leaves the block after the generation its lone run would have stopped at.
 `ga_select` turns a row's search into its closest set (the archive read
 off the cache, the fallback fill, the trace records); without a search it
@@ -29,9 +29,10 @@ runs the one-row block, folding each generation as it goes.
 
 `closest_sets` is the engine's entry point. It starts from the table of
 each window's exact top n_c that `selection.gram_shortlist` ranks for
-either engine: a short row, whose n_c-th distance fails the gate, can
-never fill its archive, so it is answered from its table row unsearched,
-and only the other rows go to `search_block`.
+either engine. A short row, whose n_c-th distance fails the gate, can
+never fill its archive: `ga_select` answers it from its table row alone,
+as a run that evaluated every window would, and only the other rows go
+to `search_block`.
 
 Draws. Each draw is a pure function of its address,
 `mix(key, op, generation, string, position, try) % n_w`, a splitmix64-style
@@ -96,10 +97,6 @@ class GaParams(SelectionParams):
         if self.seed < 0:
             raise ValueError(f"GA seed must be >= 0, got {self.seed}")
 
-    @property
-    def crossover_rate(self) -> float:
-        return (self.c_p2 - self.c_p1 + 1) / self.n_c
-
 
 @dataclass
 class Chromosome:
@@ -123,7 +120,7 @@ class DistanceCache:
     """Memoized distances from one reference window (an int `ref_idx`) or
     from each of a block of them (a sequence). `values` holds one row per
     reference, NaN where a window is not priced yet, and `evaluations` one
-    count per row: one per pair priced, n_w for a row of the Gram table."""
+    count per row, one per pair priced."""
 
     def __init__(self, coeffs: np.ndarray, ref_idx):
         self.flat = coeffs.reshape(len(coeffs), -1)
@@ -243,11 +240,9 @@ def _fill(genes: np.ndarray, todo: np.ndarray, old: np.ndarray, draws):
 
 
 def init_population(cache: DistanceCache, p: GaParams, rng):
-    """n_p random chromosomes with distinct genes each.
-
-    With a `Generator` (a one-reference cache) this is a list of
-    Chromosome. With a key array, one key per cache row, it is the
-    (rows, n_p, n_c) arrays of genes and distances.
+    """n_p random chromosomes with distinct genes for each cache row: the
+    (rows, n_p, n_c) arrays of genes and distances. `rng` is one key per
+    row, or a `Generator` for a one-reference cache.
     """
     n_w = cache.n_w
     if p.n_c > n_w:
@@ -261,9 +256,7 @@ def init_population(cache: DistanceCache, p: GaParams, rng):
         _fill(genes[:, c:c + 1], empty < 0, empty,
               lambda r, s, q, t, c=c: draws(r, s + c, q, t))
         dists[:, c] = cache.lookup(genes[:, c], np.arange(len(keys)))
-    if keys is rng:
-        return genes, dists
-    return [Chromosome(g, d, _mean(d)) for g, d in zip(genes[0], dists[0])]
+    return genes, dists
 
 
 def _mean(dists: np.ndarray):
@@ -271,17 +264,11 @@ def _mean(dists: np.ndarray):
     return np.add.reduce(dists, axis=-1) / dists.shape[-1]
 
 
-def select_parents(population):
-    """The fitter half, ascending by fitness; ties keep population order.
-
-    Takes a list of Chromosome, or a (..., n_p) fitness array, for which
-    it returns the (..., n_p // 2) indices of the parents.
-    """
-    if isinstance(population, np.ndarray):
-        half = population.shape[-1] // 2
-        return np.argsort(population, axis=-1, kind="stable")[..., :half]
-    order = select_parents(np.array([c.fitness for c in population]))
-    return [population[i] for i in order.tolist()]
+def select_parents(fitness: np.ndarray) -> np.ndarray:
+    """The (..., n_p // 2) indices of the fitter half of each (..., n_p)
+    fitness row, ascending by fitness; ties keep population order."""
+    half = fitness.shape[-1] // 2
+    return np.argsort(fitness, axis=-1, kind="stable")[..., :half]
 
 
 def crossover(pa, pb, p: GaParams, rng, n_w: int,
@@ -467,7 +454,8 @@ def _fold(searches, rows, genes, fit, kids, p):
 
 
 def ga_select(ref_idx: int, coeffs: np.ndarray, p: GaParams,
-              trace=None, search: GaSearch | None = None) -> ClosestSet:
+              trace=None, search: GaSearch | None = None,
+              nearest=None) -> ClosestSet:
     """Run the GA for one reference window and return its closest set.
 
     Stops once every candidate window has been evaluated (the archive can
@@ -477,11 +465,21 @@ def ga_select(ref_idx: int, coeffs: np.ndarray, p: GaParams,
 
     `search` is this reference's run from `search_block`; without it the GA
     runs here as a one-row block, folded live. `trace` gets (generation,
-    best fitness, archive size) per generation run: none for a short row.
+    best fitness, archive size) per generation run.
+
+    `nearest`, for a short row, is the reference's ranked row of
+    `selection.gram_shortlist`'s table, as `exhaustive_select` takes it.
+    The answer is then that row, as a run that evaluated every window
+    gives it (the gated prefix, then the fallback fill), with n_w
+    evaluations: nothing is searched or priced, and `trace` gets nothing.
     """
     n_w = len(coeffs)
     if not 0 <= ref_idx < n_w:
         raise IndexError(f"reference index {ref_idx} out of range [0, {n_w})")
+    if nearest is not None:
+        idx, dst = nearest
+        gated = int(np.count_nonzero(passes_gate(dst, p.l2_t)))
+        return ClosestSet(ref_idx, idx, dst, n_w, gated=gated)
     if search is None:
         search = search_block(coeffs, [ref_idx], p,
                               record=trace is not None, live=True)[0]
@@ -518,27 +516,24 @@ def closest_sets(coeffs: np.ndarray, p: GaParams, blocks, nearest,
     each window's exact, ungated top n_c, with the canonical kernel's bits.
     The gate is monotone in distance, so a row is short when fewer than n_c
     of its table row pass `passes_gate`. A short row's archive can never
-    fill: its table row, written into a DistanceCache row, holds all that
-    its GA answer reads, so no pair is priced again, and it reports n_w
-    evaluations, as each pair was priced by the Gram or ruled out by its
-    norm bound. Only the other rows are searched. Every closest set comes
-    from `ga_select`, which replays a searched row's trace records.
+    fill, so it is not searched: `ga_select` answers it from its table row,
+    pricing nothing, and it reports n_w evaluations, as each pair was
+    priced by the Gram or ruled out by its norm bound. Only the other rows
+    go to `search_block`, and `ga_select` replays their trace records.
     """
     idx, dist = nearest
     sets, short = [], []
     for refs in blocks:
         is_short = np.count_nonzero(passes_gate(dist[refs], p.l2_t),
                                     axis=1) < p.n_c
-        cache = DistanceCache(coeffs, refs[is_short])
-        cache.values[np.arange(len(cache.refs))[:, None],
-                     idx[cache.refs]] = dist[cache.refs]
-        cache.evaluations[:] = cache.n_w
-        row = (np.cumsum(is_short) - 1).tolist()   # short rows' cache rows
         searches = iter(search_block(coeffs, refs[~is_short], p,
                                      record=trace is not None))
-        for i, r in enumerate(refs.tolist()):
-            search = (GaSearch(cache, row[i], BestSet(r)) if is_short[i]
-                      else next(searches))
-            sets.append(ga_select(r, coeffs, p, trace, search=search))
+        for r, row_short in zip(refs.tolist(), is_short.tolist()):
+            if row_short:
+                sets.append(ga_select(r, coeffs, p, trace,
+                                      nearest=(idx[r], dist[r])))
+            else:
+                sets.append(ga_select(r, coeffs, p, trace,
+                                      search=next(searches)))
         short.append(is_short)
     return sets, np.concatenate(short)

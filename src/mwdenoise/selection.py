@@ -152,7 +152,8 @@ def gram_shortlist(coeffs: np.ndarray, n_c: int):
       `margin` of its n_c-th smallest one, are priced in pair form by
       `distances_from`, PRICE_ENTRIES coefficients at a time, ranked by
       `rank_ascending` and cut to n_c.
-    With n_c >= n_w every window is a candidate and no Gram pair is priced.
+    With n_c = n_w the core spans every column, so every window is a
+    candidate and the Gram prices all n_w^2 pairs.
 
     Why the margin suffices (eps is the float64 machine epsilon, d the
     coefficients per window, and first-order error bounds throughout):
@@ -202,8 +203,9 @@ def gram_shortlist(coeffs: np.ndarray, n_c: int):
       n_c nor tied with its n_c-th member.
     """
     n_w = len(coeffs)
+    n_c = min(n_c, n_w)
     flat = coeffs.reshape(n_w, -1)
-    nearest = np.empty((n_w, min(n_c, n_w)), np.intp)
+    nearest = np.empty((n_w, n_c), np.intp)
     distances = np.empty(nearest.shape)
     step = max(1, PRICE_ENTRIES // flat.shape[1])   # pairs priced at once
 
@@ -218,15 +220,10 @@ def gram_shortlist(coeffs: np.ndarray, n_c: int):
         dist[row, at] = np.concatenate([
             distances_from(coeffs, refs[row[k:k + step]], col[k:k + step])
             for k in range(0, len(col), step)])
-        top = rank_ascending(idx, dist)[:, :nearest.shape[1]]
+        top = rank_ascending(idx, dist)[:, :n_c]
         nearest[refs] = np.take_along_axis(idx, top, 1)
         distances[refs] = np.take_along_axis(dist, top, 1)
 
-    rows = max(1, GRAM_BLOCK_ENTRIES // n_w)
-    if n_c >= n_w:   # every window is a candidate
-        for refs in np.split(np.arange(n_w), range(rows, n_w, rows)):
-            rank(refs, *np.divmod(np.arange(len(refs) * n_w), n_w))
-        return nearest, distances, 0
     sq = np.einsum("ij,ij->i", flat, flat)
     order = np.argsort(sq, kind="stable")
     flat, sq = flat[order], sq[order]
@@ -235,6 +232,7 @@ def gram_shortlist(coeffs: np.ndarray, n_c: int):
     margin = slack * (sq + sq[-1])
     allow = slack * norm[-1]
     # one block's Gram values; column j holds the j-th window by norm
+    rows = max(1, GRAM_BLOCK_ENTRIES // n_w)
     d2 = np.empty((rows, n_w))
     pairs = 0
 
@@ -292,15 +290,18 @@ def calibrate_l2t(coeffs: np.ndarray, quantile: float = 0.05,
     return value
 
 
-def noise_gate(sigma: float, m: int, noise_mult: float = 1.05,
-               mismatch: float = 6.0) -> float:
+NOISE_MULT = 1.05   # noise_gate's scale of the noise floor
+MISMATCH = 6.0      # and its clean-content budget, levels per pixel
+
+
+def noise_gate(sigma: float, m: int) -> float:
     """Distance gate for a known noise level.
 
     Two windows with identical clean content differ by about
     sigma * sqrt(2 m^2) from noise alone; the gate admits that noise floor
-    (scaled by `noise_mult`) plus a clean-content mismatch budget of
-    `mismatch` intensity levels per pixel.
+    (scaled by NOISE_MULT) plus a clean-content mismatch budget of
+    MISMATCH intensity levels per pixel.
     """
-    floor = (noise_mult * sigma) ** 2 * 2.0 * m * m
-    budget = (mismatch * m) ** 2
+    floor = (NOISE_MULT * sigma) ** 2 * 2.0 * m * m
+    budget = (MISMATCH * m) ** 2
     return float(np.sqrt(floor + budget))

@@ -41,7 +41,6 @@ class TestParams:
     def test_defaults_follow_reported_settings(self):
         p = GaParams(l2_t=BIG)
         assert (p.n_c, p.n_p, p.g_max, p.c_p1, p.c_p2) == (16, 10, 100, 5, 12)
-        assert p.crossover_rate == 0.5
 
     def test_invalid_crossover_points(self):
         with pytest.raises(ValueError):
@@ -65,31 +64,32 @@ class TestParams:
 
 class TestInitPopulation:
     def test_shape_range_distinctness(self, coeffs):
+        # a Generator keys the one row of a one-reference cache
         cache = DistanceCache(coeffs, 0)
         p = GaParams(l2_t=BIG, seed=1)
-        pop = init_population(cache, p, ref_stream(1, 0))
-        assert len(pop) == 10
-        for chrom in pop:
-            assert len(chrom.genes) == 16
-            assert len(set(chrom.genes.tolist())) == 16
-            assert chrom.genes.min() >= 0
-            assert chrom.genes.max() < len(coeffs)
-            assert chrom.fitness == pytest.approx(chrom.dists.mean())
+        genes, dists = init_population(cache, p, ref_stream(1, 0))
+        assert genes.shape == dists.shape == (1, 10, 16)
+        assert genes.dtype == np.int64
+        for g, d in zip(genes[0], dists[0]):
+            assert len(set(g.tolist())) == 16
+            assert g.min() >= 0
+            assert g.max() < len(coeffs)
+            assert d.tobytes() == distances_from(coeffs, 0, g).tobytes()
 
     def test_deterministic(self, coeffs):
         p = GaParams(l2_t=BIG, seed=4)
         a = init_population(DistanceCache(coeffs, 3), p, ref_stream(4, 3))
         b = init_population(DistanceCache(coeffs, 3), p, ref_stream(4, 3))
         for x, y in zip(a, b):
-            assert np.array_equal(x.genes, y.genes)
+            assert x.tobytes() == y.tobytes()
 
     def test_full_cover_boundary(self):
         coeffs = np.random.default_rng(0).normal(size=(6, 8, 8))
         cache = DistanceCache(coeffs, 0)
         p = GaParams(n_c=6, c_p1=1, c_p2=3, l2_t=BIG)
-        pop = init_population(cache, p, ref_stream(0, 0))
-        for chrom in pop:
-            assert sorted(chrom.genes.tolist()) == list(range(6))
+        genes, _ = init_population(cache, p, ref_stream(0, 0))
+        for g in genes[0]:
+            assert sorted(g.tolist()) == list(range(6))
 
     def test_gene_length_exceeds_windows(self):
         coeffs = np.zeros((4, 8, 8))
@@ -108,25 +108,20 @@ class TestFitness:
 
 class TestSelectParents:
     def test_equal_fitness_keeps_order(self):
-        pop = [make_chrom([i, i + 100], [1.0, 1.0]) for i in range(10)]
-        parents = select_parents(pop)
-        assert [p.genes[0] for p in parents] == [0, 1, 2, 3, 4]
+        assert select_parents(np.ones(10)).tolist() == [0, 1, 2, 3, 4]
 
     def test_sorted_ascending(self):
-        fits = [10, 1, 7, 3, 9, 2, 8, 4, 6, 5]
-        pop = [make_chrom([i, i + 100], [f, f]) for i, f in enumerate(fits)]
-        parents = select_parents(pop)
-        assert [p.fitness for p in parents] == [1, 2, 3, 4, 5]
+        fits = np.array([10, 1, 7, 3, 9, 2, 8, 4, 6, 5], float)
+        assert fits[select_parents(fits)].tolist() == [1, 2, 3, 4, 5]
 
     def test_matches_full_sort_oracle(self):
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            fits = rng.uniform(size=10)
-            pop = [make_chrom([i, i + 100], [f, f])
-                   for i, f in enumerate(fits)]
+        for trial in range(50):
+            # half the trials draw from four values, so fitness ties
+            fits = (rng.uniform(size=10) if trial % 2
+                    else rng.integers(0, 4, 10).astype(float))
             expect = sorted(range(10), key=lambda i: (fits[i], i))[:5]
-            got = [p.genes[0] for p in select_parents(pop)]
-            assert got == expect
+            assert select_parents(fits).tolist() == expect
 
 
 class TestCrossover:
@@ -351,8 +346,8 @@ class TestGaSelect:
         for seed in range(5):
             p = GaParams(n_c=4, c_p1=1, c_p2=2, l2_t=BIG, seed=seed)
             cache = DistanceCache(coeffs, 2)
-            init = init_population(cache, p, ref_stream(seed, 2))
-            best_init = min(c.fitness for c in init)
+            _, dists = init_population(cache, p, ref_stream(seed, 2))
+            best_init = dists.mean(axis=-1).min()
             res = ga_select(2, coeffs, p)
             assert res.distances.mean() <= best_init + 1e-12
 
@@ -603,9 +598,8 @@ class TestRowBatched:
         for r, ref in enumerate(refs):
             alone = init_population(DistanceCache(coeffs, ref), p,
                                     ref_stream(5, r))
-            assert np.array_equal(genes[r], [c.genes for c in alone])
-            assert dists[r].tobytes() == np.stack(
-                [c.dists for c in alone]).tobytes()
+            assert genes[r].tobytes() == alone[0][0].tobytes()
+            assert dists[r].tobytes() == alone[1][0].tobytes()
 
     def test_mask_and_parents_rows(self):
         rng = np.random.default_rng(8)
@@ -616,10 +610,7 @@ class TestRowBatched:
         fits = rng.integers(0, 4, (50, 10)).astype(float)   # many ties
         order = select_parents(fits)
         for r in range(50):
-            pop = [make_chrom([i, i + 100], [f, f])
-                   for i, f in enumerate(fits[r])]
-            assert [c.genes[0] for c in select_parents(pop)] == \
-                order[r].tolist()
+            assert np.array_equal(order[r], select_parents(fits[r]))
 
     def test_lookup_rows(self, coeffs):
         refs = [0, 17, 140]

@@ -7,7 +7,7 @@ from mwdenoise import ga as ga_mod
 from mwdenoise import ghm
 from mwdenoise import pipeline as pipeline_mod
 from mwdenoise import selection as selection_mod
-from mwdenoise.ga import GaParams
+from mwdenoise.ga import GaParams, ga_select
 from mwdenoise.image_io import add_awgn, psnr
 from mwdenoise.phantom import ct_phantom
 from mwdenoise.pipeline import (Accumulator, DenoiseConfig, denoise_image,
@@ -635,31 +635,59 @@ class TestShortRows:
 
     def test_short_rows_read_off_the_table(self, monkeypatch):
         # no class of the tied image's windows fills n_c = 17, so every
-        # row is short: classifying them prices no pair, and each row's
-        # cache holds its table row alone, with the canonical kernel's bits
+        # row is short: each ga_select call gets its table row, no pair is
+        # priced and no row is searched
         coeffs = window_coeffs(tiled(32, 5))
         n_w, p = len(coeffs), GaParams(n_c=17, l2_t=1e-6)
         nearest, distances, _ = gram_shortlist(coeffs, p.n_c)
-        priced, searches = [], {}
+        priced, searched, rows = [], [], {}
         kernel, select = ga_mod.distances_from, ga_mod.ga_select
+        block = ga_mod.search_block
 
         def count(*args):
             priced.append(args)
             return kernel(*args)
 
-        def spy(ref_idx, *args, search, **kwargs):
-            searches[ref_idx] = search
-            return select(ref_idx, *args, search=search, **kwargs)
+        def spy(ref_idx, *args, nearest=None, **kwargs):
+            rows[ref_idx] = nearest
+            return select(ref_idx, *args, nearest=nearest, **kwargs)
+
+        def search_spy(coeffs, refs, *args, **kwargs):
+            searched.extend(np.asarray(refs).tolist())
+            return block(coeffs, refs, *args, **kwargs)
 
         monkeypatch.setattr(ga_mod, "distances_from", count)
         monkeypatch.setattr(ga_mod, "ga_select", spy)
+        monkeypatch.setattr(ga_mod, "search_block", search_spy)
         _, short = ga_mod.closest_sets(coeffs, p, ga_mod.ref_blocks(n_w),
                                        (nearest, distances))
-        assert short.all() and priced == []
+        assert short.all() and priced == [] and searched == []
+        assert sorted(rows) == list(range(n_w))
         for r, (idx, dst) in enumerate(zip(nearest, distances)):
-            assert searches[r].evaluations == n_w
-            row = searches[r].cache.values[searches[r].row]
-            assert np.flatnonzero(~np.isnan(row)).tolist() == \
-                sorted(idx.tolist())
-            assert row[idx].tobytes() == dst.tobytes() == \
-                distances_from(coeffs, r, idx).tobytes()
+            assert rows[r][0].tobytes() == idx.tobytes()
+            assert rows[r][1].tobytes() == dst.tobytes()
+
+    @pytest.mark.parametrize("l2_t", [noise_gate(15.0, 8), np.inf],
+                             ids=["noise-gate", "no-gate"])
+    def test_ga_select_answers_a_table_row(self, l2_t):
+        # the ungated scan's top n_c, with its gated count and n_w
+        # evaluations, and no trace record; the noise gate leaves these
+        # rows short, and no gate leaves them full
+        coeffs = window_coeffs(add_awgn(ct_phantom(48), 15, 3))
+        n_w = len(coeffs)
+        p = GaParams(l2_t=l2_t, seed=1)
+        nearest, distances, _ = gram_shortlist(coeffs, p.n_c)
+        exact = SelectionParams(n_c=p.n_c)
+        records = []
+        for r in (0, 37, n_w - 1):
+            got = ga_select(r, coeffs, p, trace=lambda *rec:
+                            records.append(rec),
+                            nearest=(nearest[r], distances[r]))
+            want = exhaustive_select(r, coeffs, exact)
+            gated = np.count_nonzero(want.distances < l2_t)
+            assert got.ref_idx == r
+            assert got.indices.tobytes() == want.indices.tobytes()
+            assert got.distances.tobytes() == want.distances.tobytes()
+            assert (got.gated, got.evaluations) == (gated, n_w)
+            assert got.fallback_used == (gated < p.n_c) == (l2_t < np.inf)
+        assert records == []

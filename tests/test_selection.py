@@ -239,6 +239,8 @@ class TestGramShortlist:
         n_w = len(coeffs)
         for n_c in (n_w - 1, n_w, n_w + 5):
             self.assert_exact(coeffs, self.case_params(coeffs, n_c, gate))
+            if n_c >= n_w:   # the core spans every column
+                assert gram_shortlist(coeffs, n_c)[2] == n_w ** 2
 
     def test_blocks_smaller_than_image(self, monkeypatch):
         # many blocks of a few reference rows, the last one partial, each
